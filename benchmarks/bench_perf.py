@@ -25,9 +25,9 @@ from repro import (
     ButterflyFatTreeModel,
     SimConfig,
     Workload,
-    saturation_injection_rate,
     simulate,
 )
+from repro.core import saturation_injection_rate
 from repro.core.generic_model import bft_stage_graph
 
 
@@ -57,7 +57,9 @@ def test_saturation_search_scalar_1024(benchmark):
     """The seed's scalar bracket-plus-bisection, kept as the comparison."""
     model = ButterflyFatTreeModel(1024)
     result = benchmark(
-        lambda: saturation_injection_rate(model, 32, vectorized=False).flit_load
+        lambda: saturation_injection_rate(
+            model, 32, stable=model.is_stable
+        ).flit_load
     )
     assert 0.02 < result < 0.06
 

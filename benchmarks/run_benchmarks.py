@@ -114,7 +114,7 @@ def bench_saturation_vectorized(cfg: BenchConfig) -> Callable[[], object]:
 def bench_saturation_scalar(cfg: BenchConfig) -> Callable[[], object]:
     model = ButterflyFatTreeModel(cfg.sweep_processors)
     return lambda: saturation_injection_rate(
-        model, cfg.sweep_flits, vectorized=False
+        model, cfg.sweep_flits, stable=model.is_stable
     ).flit_load
 
 

@@ -1,11 +1,25 @@
-"""Legacy setuptools shim.
+"""Package metadata for ``pip install -e .`` (or ``python setup.py develop``).
 
-The offline environment this project targets lacks the ``wheel`` package,
-so PEP 660 editable installs are unavailable; this shim lets
-``pip install -e .`` fall back to ``setup.py develop``.  All metadata lives
-in pyproject.toml.
+The version is read as text from ``src/repro/__init__.py`` so that
+installing never imports the package (or its dependencies).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description="Wormhole-routed butterfly fat-tree performance models and "
+    "simulators (Greenberg & Guan, ICPP 1997 reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy", "networkx"],
+)

@@ -10,10 +10,10 @@ A faithful, tested reproduction of:
 Quickstart — the Scenario→Run facade
 ------------------------------------
 State the question once as a declarative :class:`Scenario`; the
-``backend`` field selects how it is answered (``model`` — the paper's
-scalar engine, ``batch`` — the vectorized engine, ``simulate`` — a
-replication set of discrete-event runs, ``baseline`` — the prior-art
-model variant):
+``backend`` field selects how it is answered (``batch`` — the paper's
+model through the vectorized engine, ``model`` — an alias of ``batch``,
+``simulate`` — a replication set of discrete-event runs, ``baseline`` —
+the prior-art model variant):
 
 >>> from repro import Scenario, run
 >>> sc = Scenario(num_processors=256, message_flits=32, flit_load=0.02)
@@ -28,20 +28,15 @@ JSON lines for cross-session queries and diffs (CLI: ``repro run``,
 ``repro runs list``, ``repro runs diff``).
 
 The lower-level engines remain available for advanced use (model
-classes, stage graphs, simulators, the design-space explorer).  The old
-top-level convenience functions (``latency_sweep``,
-``saturation_injection_rate``, ``load_grid_to_saturation``,
-``run_replications``, ``simulated_latency_curve``, ``explore``) still
-work but are deprecated in favour of the facade — importing them from
-their home modules (``repro.core``, ``repro.simulation``,
-``repro.design``) keeps them warning-free.
+classes, stage graphs, simulators, the design-space explorer).  The
+sweep, saturation, replication and exploration functions live in their
+home modules (``repro.core``, ``repro.simulation``, ``repro.design``);
+the top-level aliases deprecated in 2.0.0 were removed in 3.0.0 (see the
+migration table in README.md).
 
 See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 reproduction of every table and figure in the paper's evaluation.
 """
-
-import functools as _functools
-import warnings as _warnings
 
 from .config import SimConfig, Workload
 from .core import (
@@ -60,10 +55,6 @@ from .core import (
     generalized_fattree_stage_graph,
     hypercube_stage_graph,
 )
-from .core import latency_sweep as _latency_sweep
-from .core import load_grid_to_saturation as _load_grid_to_saturation
-from .core import saturation_flit_load as _saturation_flit_load
-from .core import saturation_injection_rate as _saturation_injection_rate
 from .design import (
     DesignSpace,
     ExplorationResult,
@@ -75,7 +66,6 @@ from .design import (
     hypercube_space,
     kary_ncube_space,
 )
-from .design import explore as _explore
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -108,8 +98,6 @@ from .simulation import (
     simulate_buffered,
     simulate_flit_level,
 )
-from .simulation import run_replications as _run_replications
-from .simulation import simulated_latency_curve as _simulated_latency_curve
 from .topology import (
     ButterflyFatTree,
     GeneralizedFatTree,
@@ -136,68 +124,7 @@ from .traffic import (
     pattern_descriptions,
 )
 
-__version__ = "2.0.0"
-
-
-def _deprecated_entry_point(fn, *, replacement: str):
-    """Wrap an old top-level entry point with a once-per-call-site warning.
-
-    The warning uses ``stacklevel=2`` so it is attributed to (and
-    deduplicated per) the *caller's* file and line — the standard
-    warning registry then emits it exactly once per call site under the
-    default filter.  The undecorated function remains importable from
-    its home module for warning-free use.
-    """
-
-    @_functools.wraps(fn)
-    def shim(*args, **kwargs):
-        _warnings.warn(
-            f"repro.{fn.__name__} is deprecated; {replacement} "
-            "(see the migration table in README.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return fn(*args, **kwargs)
-
-    shim.__wrapped_entry_point__ = fn
-    return shim
-
-
-latency_sweep = _deprecated_entry_point(
-    _latency_sweep,
-    replacement="use repro.run(Scenario(backend='batch')) for Figure-3 curves, "
-    "or import it from repro.core",
-)
-load_grid_to_saturation = _deprecated_entry_point(
-    _load_grid_to_saturation,
-    replacement="Scenario derives its own grid (sweep_points/sweep_fraction), "
-    "or import it from repro.core",
-)
-saturation_injection_rate = _deprecated_entry_point(
-    _saturation_injection_rate,
-    replacement="use repro.run(...).metrics['saturation'], "
-    "or import it from repro.core",
-)
-saturation_flit_load = _deprecated_entry_point(
-    _saturation_flit_load,
-    replacement="use repro.run(...).metrics['saturation']['flit_load'], "
-    "or import it from repro.core",
-)
-run_replications = _deprecated_entry_point(
-    _run_replications,
-    replacement="use repro.run(Scenario(backend='simulate')), "
-    "or import it from repro.simulation",
-)
-simulated_latency_curve = _deprecated_entry_point(
-    _simulated_latency_curve,
-    replacement="use repro.run(Scenario(backend='simulate')) per operating "
-    "point, or import it from repro.simulation",
-)
-explore = _deprecated_entry_point(
-    _explore,
-    replacement="call it via repro.design.explore (unchanged engine); runs "
-    "persist through the registry",
-)
+__version__ = "3.0.0"
 
 __all__ = [
     "SimConfig",
@@ -223,10 +150,6 @@ __all__ = [
     "bft_stage_graph",
     "generalized_fattree_stage_graph",
     "hypercube_stage_graph",
-    "latency_sweep",
-    "load_grid_to_saturation",
-    "saturation_flit_load",
-    "saturation_injection_rate",
     # design-space exploration
     "DesignSpace",
     "ExplorationResult",
@@ -234,7 +157,6 @@ __all__ = [
     "LinearCostModel",
     "Requirements",
     "bft_space",
-    "explore",
     "generalized_fattree_space",
     "hypercube_space",
     "kary_ncube_space",
@@ -282,9 +204,7 @@ __all__ = [
     "SimulationResult",
     "TraceTraffic",
     "empirical_saturation",
-    "run_replications",
     "simulate",
     "simulate_flit_level",
-    "simulated_latency_curve",
     "__version__",
 ]

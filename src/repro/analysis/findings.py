@@ -80,9 +80,6 @@ RULE_CATALOG: dict[str, Rule] = {
             "no float ==/!= against non-sentinel literals (0.0/1.0 ok)",
         ),
         Rule(
-            "REP005", "allow-shim-import", "no deprecated top-level shim imports"
-        ),
-        Rule(
             "REP006",
             "allow-wall-clock",
             "no wall-clock reads outside the provenance modules",

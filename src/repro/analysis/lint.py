@@ -14,8 +14,6 @@ REP003  every ``raise`` constructs a ``ReproError`` subclass (bare
         Pragma: ``# lint: allow-raise``.
 REP004  no float ``==`` / ``!=`` except against the literal sentinels
         ``0.0`` / ``1.0``.  Pragma: ``# lint: allow-float-eq``.
-REP005  internal modules must not import the deprecated top-level shims.
-        Pragma: ``# lint: allow-shim-import``.
 REP006  no wall-clock reads (``time.time``, ``datetime.now``, ...) outside
         the provenance modules; ``perf_counter`` is always fine.
         Pragma: ``# lint: allow-wall-clock``.
@@ -158,19 +156,6 @@ _ALWAYS_OK_RAISES = frozenset(
     | {"NotImplementedError", "SystemExit", "StopIteration", "KeyboardInterrupt"}
 )
 
-# REP005 — deprecated top-level shims (see repro/__init__.py).
-_DEPRECATED_SHIMS = frozenset(
-    {
-        "latency_sweep",
-        "load_grid_to_saturation",
-        "saturation_injection_rate",
-        "saturation_flit_load",
-        "run_replications",
-        "simulated_latency_curve",
-        "explore",
-    }
-)
-
 # REP006 — wall-clock call chains (suffix match on the dotted chain).
 _WALL_CLOCK_TAILS = (
     ("time", "time"),
@@ -267,7 +252,7 @@ class _FileLinter(ast.NodeVisitor):
     def _in_util(self) -> bool:
         return self.module == "util" or self.module.startswith("util.")
 
-    # -- REP001 / REP005 / REP006: calls and attribute access ---------------
+    # -- REP001 / REP006 / REP007: calls -------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attr_chain(node.func)
@@ -381,44 +366,6 @@ class _FileLinter(ast.NodeVisitor):
                     "stdlib random module uses unseeded process-global state",
                     "use a seeded np.random.default_rng(seed) instance",
                 )
-        if self._resolves_to_repro_root(node):
-            shims = sorted(
-                alias.name for alias in node.names if alias.name in _DEPRECATED_SHIMS
-            )
-            if shims:
-                self._report(
-                    "REP005",
-                    node,
-                    f"import of deprecated top-level shim(s): {', '.join(shims)}",
-                    "import the replacement from repro.runs / repro.design directly",
-                )
-        self.generic_visit(node)
-
-    def _resolves_to_repro_root(self, node: ast.ImportFrom) -> bool:
-        if node.level == 0:
-            return node.module == "repro"
-        # Relative import: resolve against this file's package depth.
-        if not self.module:
-            return False
-        pkg_parts = self.module.split(".")[:-1] if "." in self.module else []
-        # level=1 -> current package, level=2 -> parent, ...
-        hops = node.level - 1
-        if hops > len(pkg_parts):
-            base: list[str] = []
-        else:
-            base = pkg_parts[: len(pkg_parts) - hops]
-        target = base + (node.module.split(".") if node.module else [])
-        return target == []  # '' means the repro package root itself
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        chain = _attr_chain(node)
-        if len(chain) == 2 and chain[0] == "repro" and chain[1] in _DEPRECATED_SHIMS:
-            self._report(
-                "REP005",
-                node,
-                f"use of deprecated top-level shim repro.{chain[1]}",
-                "call the replacement in repro.runs / repro.design directly",
-            )
         self.generic_visit(node)
 
     # -- REP002: spec dataclasses -------------------------------------------

@@ -15,13 +15,11 @@ Gives downstream users the main entry points without writing Python:
   SQLite-backed queries), ``runs diff``, ``runs doctor`` (corruption
   audit / quarantine) and ``runs reindex`` (rebuild the query index);
 * ``lint``        — static analysis of the source tree itself: the
-  file-local invariant rules (REP001-007) plus the call-graph
+  file-local invariant rules (REP001-004, REP006-007) plus the call-graph
   concurrency rules (REP201-204); ``--rules`` selects families
   (``REP2xx``), ``--list-rules`` prints the catalog, exit 1 on findings;
-* ``model``       — one analytical evaluation (latency breakdown);
-* ``sweep``       — model latency-vs-load table up to saturation;
-* ``saturation``  — Eq. 26 saturation loads for one or more message lengths;
-* ``simulate``    — one simulation run (event/flit/buffered engine);
+* ``model``       — one analytical evaluation (per-channel latency
+  breakdown);
 * ``info``        — topology summary;
 * ``patterns``    — list the registered traffic scenarios;
 * ``design``      — SLO-driven design-space exploration (feasible set,
@@ -34,10 +32,11 @@ Gives downstream users the main entry points without writing Python:
 
 Every subcommand accepts ``--json``: machine-readable output through one
 shared formatter (non-finite floats encode as the sentinel strings of
-:mod:`repro.runs.result`).  ``model``, ``sweep``, ``saturation`` and
-``simulate`` all accept ``--pattern`` (plus ``--hotspot-fraction`` /
-``--hotspot-target``), keeping model and simulator comparable for every
-registered traffic scenario.
+:mod:`repro.runs.result`).  ``run`` and ``model`` accept ``--pattern``
+(plus ``--hotspot-fraction`` / ``--hotspot-target``), so every backend
+answers every registered traffic scenario.  Latency curves, saturation
+loads and simulations are all ``run`` (``--points N``, ``--points 0``,
+``--backend simulate``).
 
 Exit status: 0 on success; 2 on invalid arguments or infeasible scenarios
 (:class:`~repro.errors.ConfigurationError` / ``SaturatedError`` /
@@ -53,20 +52,14 @@ import json
 import sys
 from typing import Sequence
 
-from .config import SimConfig, Workload
+from .config import Workload
 from .core.bft_model import ButterflyFatTreeModel
-from .core.sweep import latency_sweep, load_grid_to_saturation
-from .core.throughput import saturation_injection_rate
 from .errors import (
     ConfigurationError,
     PartitionedNetworkError,
     ReproError,
     SaturatedError,
 )
-from .simulation.buffered_sim import BufferedWormholeSimulator
-from .simulation.flit_sim import FlitLevelWormholeSimulator
-from .simulation.traffic import PoissonTraffic
-from .simulation.wormhole_sim import EventDrivenWormholeSimulator
 from .topology.butterfly_fattree import ButterflyFatTree
 from .topology.properties import describe_topology
 from .traffic.spec import available_patterns, make_spec
@@ -91,16 +84,10 @@ _EXPERIMENTS = {
     "faults": "run_fault_degradation",
 }
 
-_SIMULATORS = {
-    "event": EventDrivenWormholeSimulator,
-    "flit": FlitLevelWormholeSimulator,
-    "buffered": BufferedWormholeSimulator,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (exposed for shell-completion tooling)."""
-    from .runs.scenario import BACKENDS, TOPOLOGIES
+    from .runs.scenario import BACKENDS, SIMULATORS, TOPOLOGIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -136,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="hotspot pattern: the hot node",
         )
 
-    def add_common(p: argparse.ArgumentParser, with_load: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--processors",
             "-n",
@@ -147,14 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--flits", "-f", type=int, default=32, help="message length in flits"
         )
-        if with_load:
-            p.add_argument(
-                "--load",
-                "-l",
-                type=float,
-                default=0.02,
-                help="offered load in flits/cycle/PE (Figure-3 units)",
-            )
+        p.add_argument(
+            "--load",
+            "-l",
+            type=float,
+            default=0.02,
+            help="offered load in flits/cycle/PE (Figure-3 units)",
+        )
         add_pattern(p)
         add_json(p)
 
@@ -239,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="batch",
-        help="model (scalar reference), batch (vectorized), simulate, baseline",
+        help="batch (the paper's model; 'model' is an alias), simulate, baseline",
     )
     p_run.add_argument(
         "--points",
@@ -249,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--simulator",
-        choices=sorted(_SIMULATORS),
+        choices=SIMULATORS,
         default="event",
-        help="engine of the simulate backend",
+        help="engine of the simulate backend: event (worm-level), flit "
+        "(cycle-level), buffered (VC router)",
     )
     p_run.add_argument(
         "--replications", type=int, default=3, help="simulate backend: seeded runs"
@@ -288,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="static analysis of the source tree: invariant rules "
-        "(REP001-007) plus call-graph concurrency rules (REP201-204)",
+        "(REP001-004, REP006-007) plus call-graph concurrency rules (REP201-204)",
     )
     p_lint.add_argument(
         "paths",
@@ -381,40 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="evaluate the analytical model once")
     add_common(p_model)
-
-    p_sweep = sub.add_parser("sweep", help="model latency-vs-load table")
-    add_common(p_sweep, with_load=False)
-    p_sweep.add_argument("--points", type=int, default=10, help="grid points")
-    p_sweep.add_argument(
-        "--scalar",
-        action="store_true",
-        help="force one model solve per grid point (default: one batched "
-        "NumPy solve for the whole grid)",
-    )
-
-    p_sat = sub.add_parser("saturation", help="Eq. 26 saturation throughput")
-    p_sat.add_argument("--processors", "-n", type=int, default=256)
-    p_sat.add_argument(
-        "--flits",
-        "-f",
-        type=str,
-        default="16,32,64",
-        help="comma-separated message lengths",
-    )
-    add_pattern(p_sat)
-    add_json(p_sat)
-
-    p_sim = sub.add_parser("simulate", help="run one simulation")
-    add_common(p_sim)
-    p_sim.add_argument(
-        "--simulator",
-        choices=sorted(_SIMULATORS),
-        default="event",
-        help="engine: event (worm-level), flit (cycle-level), buffered (VC router)",
-    )
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--warmup", type=float, default=3000.0)
-    p_sim.add_argument("--measure", type=float, default=9000.0)
 
     p_info = sub.add_parser("info", help="topology summary")
     p_info.add_argument("--processors", "-n", type=int, default=256)
@@ -864,109 +817,6 @@ def _cmd_model(args):
     return text, payload
 
 
-def _cmd_sweep(args):
-    model = ButterflyFatTreeModel(args.processors)
-    spec = _spec_from_args(args)
-    if args.scalar and spec is not None:
-        raise ConfigurationError(
-            "--scalar (the per-point batch-engine cross-check) only applies "
-            "to the uniform closed-form model; drop it or drop --pattern"
-        )
-    # A pattern builds the per-channel solver once; grid and sweep then both
-    # go through its batch engine.
-    evaluator = model.traffic_model(spec, args.flits) if spec is not None else model
-    grid = load_grid_to_saturation(evaluator, args.flits, n_points=args.points)
-    # Handing latency_sweep the model routes the grid through the batch
-    # engine (one vectorized solve); a plain wrapper forces per-point mode.
-    if args.scalar:
-        evaluator = lambda wl: model.latency(wl)
-    curve = latency_sweep(evaluator, args.flits, grid)
-    suffix = f", {spec.name}" if spec is not None else ""
-    text = format_table(
-        ["load (fl/cyc/PE)", "latency (cycles)"],
-        curve.as_rows(),
-        title=f"N={args.processors}, {args.flits}-flit{suffix}",
-    )
-    payload = {
-        "num_processors": args.processors,
-        "message_flits": args.flits,
-        "pattern": args.pattern,
-        "flit_loads": [float(x) for x in curve.flit_loads],
-        "latencies": [float(y) for y in curve.latencies],
-    }
-    return text, payload
-
-
-def _cmd_saturation(args):
-    model = ButterflyFatTreeModel(args.processors)
-    spec = _spec_from_args(args)
-    rows = []
-    for flits in (int(x) for x in args.flits.split(",")):
-        sat = saturation_injection_rate(model, flits, spec=spec)
-        rows.append((flits, sat.injection_rate, sat.flit_load))
-    suffix = f", {spec.name}" if spec is not None else ""
-    text = format_table(
-        ["flits", "lambda0 (msgs/cyc/PE)", "flit load (fl/cyc/PE)"],
-        rows,
-        title=f"Saturation, N={args.processors}{suffix}",
-    )
-    payload = {
-        "num_processors": args.processors,
-        "pattern": args.pattern,
-        "saturation": [
-            {"message_flits": f, "injection_rate": r, "flit_load": fl}
-            for f, r, fl in rows
-        ],
-    }
-    return text, payload
-
-
-def _cmd_simulate(args):
-    import numpy as np
-
-    topo = ButterflyFatTree(args.processors)
-    wl = Workload.from_flit_load(args.load, args.flits)
-    cfg = SimConfig(
-        warmup_cycles=args.warmup, measure_cycles=args.measure, seed=args.seed
-    )
-    spec = _spec_from_args(args)
-    sim_cls = _SIMULATORS[args.simulator]
-    kwargs = {}
-    if spec is not None:
-        kwargs["traffic"] = PoissonTraffic(
-            args.processors, wl, seed=args.seed, spec=spec
-        )
-    result = sim_cls(topo, wl, cfg, keep_samples=False, **kwargs).run()
-    model = ButterflyFatTreeModel(args.processors)
-    if spec is not None:
-        tm = model.traffic_model(spec, args.flits)
-        prediction = float(
-            tm.latency_batch(np.array([wl.injection_rate]), args.flits)[0]
-        )
-    else:
-        prediction = model.latency(wl)
-    lines = [
-        f"simulator: {args.simulator}"
-        + (f" (pattern: {spec.name})" if spec is not None else ""),
-        result.summary(),
-        f"model prediction: {prediction:.3f} cycles",
-    ]
-    payload = {
-        "simulator": args.simulator,
-        "pattern": args.pattern,
-        "num_processors": args.processors,
-        "message_flits": args.flits,
-        "flit_load": args.load,
-        "latency_mean": result.latency_mean,
-        "latency_std": result.latency_std,
-        "throughput": result.delivered_flit_rate,
-        "stable": result.stable,
-        "censored_tagged": result.censored_tagged,
-        "model_prediction": prediction,
-    }
-    return "\n".join(lines), payload
-
-
 def _cmd_info(args):
     topo = ButterflyFatTree(args.processors)
     info = describe_topology(topo)
@@ -1118,9 +968,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "runs": _cmd_runs,
         "model": _cmd_model,
-        "sweep": _cmd_sweep,
-        "saturation": _cmd_saturation,
-        "simulate": _cmd_simulate,
         "info": _cmd_info,
         "patterns": _cmd_patterns,
         "design": _cmd_design,

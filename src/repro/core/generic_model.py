@@ -468,8 +468,17 @@ class ChannelGraphModel:
                     solved[name] = StageBatchSolution(
                         service, self._wait_batch(stage, service, rates[name])
                     )
-                return solved
-            return self._solve_cyclic_batch(rates, scales.size)
+            else:
+                solved = self._solve_cyclic_batch(rates, scales.size)
+        if METRICS.enabled:
+            # Same rule as the closed-form engines: a point is saturated
+            # when any stage diverged.
+            finite = self._finite_mask(solved)
+            METRICS.add(
+                "solve.saturated_points",
+                float(finite.size - np.count_nonzero(finite)),
+            )
+        return solved
 
     def _solve_cyclic_batch(
         self, rates: dict[str, np.ndarray], n_points: int

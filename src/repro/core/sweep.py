@@ -28,6 +28,7 @@ from .throughput import resolve_traffic_model, saturation_injection_rate
 
 __all__ = [
     "LatencyCurve",
+    "figure3_grid",
     "latency_sweep",
     "load_grid_to_saturation",
     "resolve_traffic_model",
@@ -165,25 +166,36 @@ def latency_sweep(
     )
 
 
+def figure3_grid(
+    saturation_flit_load: float, n_points: int, fraction: float
+) -> np.ndarray:
+    """The Figure-3 load grid: ``n_points`` uniform steps up to ``fraction``
+    of the saturation load, the zero point replaced by a 2% floor.
+
+    Zero load is a degenerate operating point for rate-based simulators,
+    so the lowest point sits at 2% of saturation, clamped below the second
+    grid point so the grid stays strictly increasing on dense grids.  The
+    one grid rule behind :func:`load_grid_to_saturation` and the derived
+    curves of :func:`repro.run`.
+    """
+    grid = np.linspace(0.0, fraction * saturation_flit_load, n_points)
+    grid[0] = min(0.02 * saturation_flit_load, grid[1] / 2.0)
+    return grid
+
+
 def load_grid_to_saturation(
     model,
     message_flits: int,
     *,
     n_points: int = 10,
     fraction: float = 0.98,
-    include_zero_limit: bool = True,
     spec=None,
 ) -> np.ndarray:
-    """Build a load grid from near zero up to ``fraction`` of model saturation.
+    """Build a :func:`figure3_grid` of ``n_points`` loads up to ``fraction``
+    of the model's saturation load.
 
     This mirrors how Figure 3's x-range terminates just past the knee of the
-    curves.  The lowest point is placed at 2% of saturation rather than 0
-    (zero load is a degenerate operating point for rate-based simulators) —
-    clamped below the second grid point so the grid stays strictly
-    increasing on dense grids — unless ``include_zero_limit`` is False, in
-    which case the grid starts at the first uniform step.  The returned
-    grid always holds exactly ``n_points`` loads, whichever convention is
-    chosen.  A ``spec`` anchors the grid to the *pattern-aware* saturation
+    curves.  A ``spec`` anchors the grid to the *pattern-aware* saturation
     point instead of the uniform one.
     """
     if n_points < 2:
@@ -193,15 +205,4 @@ def load_grid_to_saturation(
     if spec is not None:
         model = resolve_traffic_model(model, spec, message_flits)
     sat = saturation_injection_rate(model, message_flits).flit_load
-    top = fraction * sat
-    if include_zero_limit:
-        grid = np.linspace(0.0, top, n_points)
-        # On dense grids the first uniform step falls below 2% of
-        # saturation; clamp the floor so the grid stays strictly
-        # increasing (n_points >= ~51 used to yield grid[0] > grid[1]).
-        grid[0] = min(0.02 * sat, grid[1] / 2.0)
-    else:
-        # Drop the degenerate zero point but keep the promised point count:
-        # n_points uniform steps ending at the top of the range.
-        grid = np.linspace(0.0, top, n_points + 1)[1:]
-    return grid
+    return figure3_grid(sat, n_points, fraction)

@@ -15,8 +15,8 @@ Two search strategies share the same bracketing invariant:
   bracket is then narrowed by solving a uniform grid of interior points per
   pass — a multiway bisection that reaches the same boundary with a handful
   of batched solves instead of ~25 scalar ones.
-* **Scalar** (simulators, custom ``stable`` predicates, or
-  ``vectorized=False``): the paper's procedure — "we let source arrival
+* **Scalar** (simulators, custom ``stable`` predicates, or models
+  without ``stability_batch``): the paper's procedure — "we let source arrival
   rate increase ... until the above equation is satisfied" — bracketing by
   doubling and bisecting to a relative tolerance, one solve per probe.
 
@@ -100,7 +100,6 @@ def saturation_injection_rate(
     rel_tol: float = 1e-6,
     max_doublings: int = 60,
     stable: Callable[[Workload], bool] | None = None,
-    vectorized: bool | None = None,
     spec=None,
 ) -> SaturationResult:
     """Find the saturation injection rate of ``model`` (bracket + narrow).
@@ -123,13 +122,8 @@ def saturation_injection_rate(
     stable:
         Optional replacement stability predicate (used to drive the same
         search with a simulator in the empirical-saturation harness);
-        implies the scalar path.
-    vectorized:
-        Force (True) or forbid (False) the batched search; ``None`` (the
-        default) auto-detects ``stability_batch`` on the model.  Forcing
-        it on a model without ``stability_batch`` (or together with a
-        ``stable`` predicate) raises :class:`ConfigurationError` rather
-        than silently falling back.
+        implies the scalar path (``stable=model.is_stable`` runs the
+        paper's one-solve-per-probe procedure on any model).
     spec:
         Optional :class:`~repro.traffic.spec.TrafficSpec`: search the
         saturation point of the *pattern-aware* solver built by
@@ -151,22 +145,7 @@ def saturation_injection_rate(
     if lo <= 0:
         raise ConfigurationError("initial_rate must be positive")
 
-    if vectorized:
-        if stable is not None:
-            raise ConfigurationError(
-                "vectorized=True cannot be combined with a custom stable "
-                "predicate (per-point predicates have no batch form)"
-            )
-        if not hasattr(model, "stability_batch"):
-            raise ConfigurationError(
-                "vectorized=True requires a model exposing stability_batch"
-            )
-    use_batch = (
-        vectorized
-        if vectorized is not None
-        else (stable is None and hasattr(model, "stability_batch"))
-    )
-    if use_batch:
+    if stable is None and hasattr(model, "stability_batch"):
         return _saturation_vectorized(
             model, message_flits, lo, rel_tol=rel_tol, max_doublings=max_doublings
         )

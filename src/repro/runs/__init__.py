@@ -4,8 +4,8 @@ This package is the library's front door: declare *what* you want to know
 as a :class:`Scenario` (topology × workload × traffic pattern ×
 ``backend``), call :func:`run`, and receive a typed, schema-versioned
 :class:`RunResult` — the same record shape whether the answer came from
-the analytical model, the vectorized batch engine, a simulator
-replication set, or the prior-art baseline.  A :class:`RunRegistry`
+the analytical model's batch engine, a simulator replication set, or
+the prior-art baseline.  A :class:`RunRegistry`
 persists the records as append-only JSON lines so sweeps, saturation
 searches, replication sets, and benchmark baselines accumulate into one
 diffable trajectory across sessions and PRs.

@@ -16,21 +16,19 @@ registry:
     ``sweep_points >= 2`` (analytical backends only — simulation cost is
     per point, so simulated curves stay an explicit choice).
 
-The ``model`` backend is the reference scalar engine (one solve per
-point); ``batch`` answers through the vectorized engine and is
-bit-identical to ``model`` by construction (PR 1's equivalence tests);
-``baseline`` swaps in the family's prior-art model variant; ``simulate``
-runs an independently seeded replication set and records the model
-prediction alongside for crosschecks.
+``batch`` answers through the vectorized engine; ``model`` is kept as a
+name (its scenario keys and stored records stay valid) and is answered
+by the same code, so both record ``"engine": "batch"``; ``baseline``
+swaps in the family's prior-art model variant; ``simulate`` runs an
+independently seeded replication set and records the model prediction
+alongside for crosschecks.
 
 Topology families resolve through the design-family registry
 (:mod:`repro.design.families`): ``scenario.family_params()`` names one
 assignment, and the family supplies the analytical evaluator, the
-prior-art baseline evaluator, and the simulator topology.  Closed-form
-models (butterfly and generalized fat-trees, the Dally torus) expose a
-per-workload ``latency``; stage-graph evaluators (the hypercube and
-every pattern-aware graph) evaluate points through one-element batches —
-either way the scalar path stays one solve per point.
+prior-art baseline evaluator, and the simulator topology.  Every
+evaluator answers through its ``latency_batch``: the operating point is a
+one-element batch and the curve one batched solve over its grid.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..config import Workload
-from ..core.generic_model import ChannelGraphModel
-from ..core.sweep import LatencyCurve, latency_sweep
+from ..core.sweep import LatencyCurve, figure3_grid, latency_sweep
 from ..core.throughput import SaturationResult, saturation_injection_rate
 from ..design.families import DesignFamily, design_family
 from ..errors import ConfigurationError
@@ -140,18 +137,8 @@ def _variant_label(evaluator: Any) -> str:
     return getattr(variant, "label", type(evaluator).__name__)
 
 
-def _point_latency(evaluator: Any, workload: Workload, *, scalar: bool) -> float:
-    """Latency at one operating point through either engine.
-
-    The scalar path uses the per-point ``latency``/one-point-batch route
-    (the reference engine); the batch path is a one-element vectorized
-    solve.  They agree bit-for-bit — keeping both exercised is exactly
-    what makes ``repro runs diff`` between the two backends a meaningful
-    regression check.  Stage graphs (:class:`ChannelGraphModel`) have no
-    per-workload ``latency``; their scalar route is the one-point batch.
-    """
-    if scalar and not isinstance(evaluator, ChannelGraphModel):
-        return float(evaluator.latency(workload))
+def _point_latency(evaluator: Any, workload: Workload) -> float:
+    """Latency at one operating point: a one-element batched solve."""
     return float(
         np.asarray(
             evaluator.latency_batch(
@@ -164,28 +151,20 @@ def _point_latency(evaluator: Any, workload: Workload, *, scalar: bool) -> float
 def _grid_for(scenario: Scenario, saturation_flit_load: float) -> np.ndarray | None:
     """The load grid of the scenario's curve (None when no sweep is asked).
 
-    *Derived* grids follow the Figure-3 convention of
-    :func:`repro.core.sweep.load_grid_to_saturation`: uniform steps up to
-    ``sweep_fraction`` of saturation, with the zero point replaced by a 2%
-    floor (clamped below the second grid point on dense grids) — zero load
-    is a degenerate operating point for rate-based *simulators*, and the
-    derived grid keeps one convention across backends.
-
-    *Explicit* grids (``scenario.flit_loads``) are the caller's to choose
-    and are evaluated exactly as given on both analytical engines — a
-    grid containing ``0.0`` yields the exact zero-load latency, never the
-    2% floor, and ``model`` and ``batch`` stay bit-identical on it (a
-    regression test pins this policy).
+    *Derived* grids are :func:`repro.core.sweep.figure3_grid` over
+    ``sweep_points`` and ``sweep_fraction``.  *Explicit* grids
+    (``scenario.flit_loads``) are the caller's to choose and are evaluated
+    exactly as given — a grid containing ``0.0`` yields the exact
+    zero-load latency, never the 2% floor (a regression test pins this
+    policy).
     """
     if scenario.flit_loads is not None:
         return np.asarray(scenario.flit_loads, dtype=float)
     if scenario.sweep_points < 2:
         return None
-    grid = np.linspace(
-        0.0, scenario.sweep_fraction * saturation_flit_load, scenario.sweep_points
+    return figure3_grid(
+        saturation_flit_load, scenario.sweep_points, scenario.sweep_fraction
     )
-    grid[0] = min(0.02 * saturation_flit_load, grid[1] / 2.0)
-    return grid
 
 
 def _curve_metrics(curve: LatencyCurve) -> dict:
@@ -208,7 +187,6 @@ def _saturation_metrics(sat: SaturationResult) -> dict:
 
 def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
     """Shared driver of the ``model``, ``batch`` and ``baseline`` backends."""
-    scalar = scenario.backend == "model"
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     with trace_span("run/build", topology=scenario.topology):
@@ -217,52 +195,26 @@ def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
     timings["build_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # The Eq. 26 search anchors the derived curve grid, so it must be
-    # backend-invariant: auto-detection picks the batched bracketing for
-    # every evaluator exposing stability_batch (all families do), and the
-    # ``model`` and ``batch`` backends therefore see the same saturation
-    # point and the same grid — the bit-identity the parity tests pin
-    # covers the whole curve, not just the operating point.
     with trace_span("run/saturation"):
         sat = saturation_injection_rate(evaluator, scenario.message_flits)
     timings["saturation_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     with trace_span("run/evaluate", points=scenario.sweep_points):
-        point = _point_latency(evaluator, scenario.workload(), scalar=scalar)
+        point = _point_latency(evaluator, scenario.workload())
         grid = _grid_for(scenario, sat.flit_load)
         curve = None
         if grid is not None:
-            if scalar:
-                # Reference engine: one model solve per grid point.
-                flits = scenario.message_flits
-                lat = np.array(
-                    [
-                        _point_latency(
-                            evaluator,
-                            Workload.from_flit_load(float(x), flits),
-                            scalar=True,
-                        )
-                        for x in grid
-                    ]
-                )
-                curve = LatencyCurve(
-                    label=f"{scenario.backend} {flits}-flit",
-                    message_flits=flits,
-                    flit_loads=grid,
-                    latencies=lat,
-                )
-            else:
-                curve = latency_sweep(
-                    evaluator,
-                    scenario.message_flits,
-                    grid,
-                    label=f"{scenario.backend} {scenario.message_flits}-flit",
-                )
+            curve = latency_sweep(
+                evaluator,
+                scenario.message_flits,
+                grid,
+                label=f"{scenario.backend} {scenario.message_flits}-flit",
+            )
     timings["evaluate_s"] = time.perf_counter() - t0
 
     metrics = {
-        "engine": "scalar" if scalar else "batch",
+        "engine": "batch",
         "variant": _variant_label(evaluator),
         "family": {"name": fam.name, "params": dict(params)},
         "faults": _fault_provenance(scenario),
@@ -330,7 +282,7 @@ def _run_simulate(scenario: Scenario) -> tuple[dict, dict]:
         )
     timings["simulate_s"] = time.perf_counter() - t0
 
-    prediction = _point_latency(evaluator, workload, scalar=False)
+    prediction = _point_latency(evaluator, workload)
     metrics = {
         "engine": scenario.simulator,
         "family": {"name": fam.name, "params": dict(params)},

@@ -164,6 +164,9 @@ class RunDiff:
     deltas: tuple[MetricDelta, ...]
     only_a: tuple[str, ...]
     only_b: tuple[str, ...]
+    #: Shared non-numeric leaves (labels, engines, flags) that differ, as
+    #: ``(key, a, b)``; a numeric delta cannot express them.
+    relabeled: tuple[tuple[str, Any, Any], ...] = ()
 
     @property
     def changed(self) -> tuple[MetricDelta, ...]:
@@ -207,6 +210,8 @@ class RunDiff:
             lines.append(f"only in {self.a_label}: {', '.join(self.only_a)}")
         if self.only_b:
             lines.append(f"only in {self.b_label}: {', '.join(self.only_b)}")
+        for key, a, b in self.relabeled:
+            lines.append(f"changed {key}: {a!r} -> {b!r}")
         lines.append(f"max |rel| over shared metrics: {self.max_abs_rel:.4g}")
         return "\n".join(lines)
 
@@ -220,6 +225,7 @@ class RunDiff:
             ],
             "only_a": list(self.only_a),
             "only_b": list(self.only_b),
+            "relabeled": [{"key": k, "a": a, "b": b} for k, a, b in self.relabeled],
             "max_abs_rel": self.max_abs_rel,
         }
 
@@ -238,18 +244,26 @@ def diff_metrics(
     present on exactly one side regardless of type — a boolean or label
     leaf missing from the other record is a structural change and must be
     reported, not silently dropped just because it cannot be subtracted.
+    For the same reason ``relabeled`` reports every shared leaf outside
+    ``deltas`` whose value changed (e.g. ``engine``).
     """
     flat_a = flatten_metrics(a)
     flat_b = flatten_metrics(b)
-    keys_a = set(flatten_leaves(a))
-    keys_b = set(flatten_leaves(b))
+    leaves_a = flatten_leaves(a)
+    leaves_b = flatten_leaves(b)
     shared = sorted(set(flat_a) & set(flat_b))
     return RunDiff(
         a_label=a_label,
         b_label=b_label,
         deltas=tuple(MetricDelta(k, flat_a[k], flat_b[k]) for k in shared),
-        only_a=tuple(sorted(keys_a - keys_b)),
-        only_b=tuple(sorted(keys_b - keys_a)),
+        only_a=tuple(sorted(leaves_a.keys() - leaves_b.keys())),
+        only_b=tuple(sorted(leaves_b.keys() - leaves_a.keys())),
+        relabeled=tuple(
+            (k, leaves_a[k], leaves_b[k])
+            for k in sorted(leaves_a.keys() & leaves_b.keys())
+            if k not in flat_a or k not in flat_b
+            if leaves_a[k] != leaves_b[k]
+        ),
     )
 
 

@@ -4,10 +4,10 @@ A :class:`Scenario` pins down *what* is being asked — topology, operating
 point, message length, traffic pattern, and measurement protocol — while
 the ``backend`` field selects *how* it is answered:
 
-* ``model``    — the paper's analytical model, solved point by point
-  (the reference scalar engine);
-* ``batch``    — the same model through the vectorized batch engine
-  (bit-identical numbers, one NumPy pass per curve);
+* ``batch``    — the paper's analytical model through the vectorized
+  batch engine (one NumPy pass per curve);
+* ``model``    — an alias of ``batch`` (answered by the same code; kept
+  so existing scenario keys and stored records stay valid);
 * ``simulate`` — a replication set of discrete-event simulations;
 * ``baseline`` — the prior-art model variant (independent M/G/1 links,
   no blocking correction), for paper-style comparisons.

@@ -1,4 +1,4 @@
-"""True/false-positive fixture tests for every code-lint rule (REP001-007)."""
+"""True/false-positive fixture tests for every code-lint rule (REP001-004, REP006-007)."""
 
 from __future__ import annotations
 
@@ -216,40 +216,6 @@ class TestREP004FloatEq:
         assert lint_snippet("ok = x == 0.5  # lint: allow-float-eq\n") == []
 
 
-class TestREP005Shims:
-    def test_toplevel_shim_import_flagged(self):
-        fs = lint_source(
-            "from repro import latency_sweep\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert rules_of(fs) == ["REP005"]
-
-    def test_relative_root_shim_import_flagged(self):
-        fs = lint_source(
-            "from .. import explore\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert rules_of(fs) == ["REP005"]
-
-    def test_shim_attribute_flagged(self):
-        fs = lint_snippet("import repro\nrepro.latency_sweep(16)\n")
-        assert rules_of(fs) == ["REP005"]
-
-    def test_replacement_import_ok(self):
-        fs = lint_source(
-            "from ..runs import run\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert fs == []
-
-    def test_pragma_suppresses(self):
-        fs = lint_source(
-            "from repro import latency_sweep  # lint: allow-shim-import\n",
-            Path("src/repro/design/foo.py"),
-        )
-        assert fs == []
-
-
 class TestREP006WallClock:
     def test_time_time_flagged(self):
         fs = lint_snippet("import time\nt = time.time()\n")
@@ -412,6 +378,8 @@ class TestRuleSelectionDriver:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "REP204" in out and "allow-bare-coroutine" in out
+        # REP005 policed the top-level shims removed in 3.0.0.
+        assert "REP005" not in out and "allow-shim-import" not in out
 
     def test_main_unknown_rules_exit_two(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")

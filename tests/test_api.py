@@ -16,7 +16,25 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "latency_sweep",
+            "load_grid_to_saturation",
+            "saturation_injection_rate",
+            "saturation_flit_load",
+            "run_replications",
+            "simulated_latency_curve",
+            "explore",
+        ],
+    )
+    def test_shims_removed_in_3_0(self, name):
+        # The top-level aliases deprecated in 2.0.0 are gone; the home
+        # modules keep the functions.
+        assert name not in repro.__all__
+        assert not hasattr(repro, name)
 
     @pytest.mark.parametrize(
         "name",
@@ -33,7 +51,6 @@ class TestExports:
             "SimConfig",
             "simulate",
             "simulate_flit_level",
-            "saturation_injection_rate",
             "ModelVariant",
             "bft_stage_graph",
             "hypercube_stage_graph",
@@ -51,6 +68,24 @@ class TestExports:
         import repro.simulation
         import repro.topology
         import repro.util
+
+
+class TestPackaging:
+    def test_setup_metadata(self):
+        # setup.py reads the version as text: no import of the package.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert out[-2:] == ["repro", repro.__version__] == ["repro", "3.0.0"]
 
 
 class TestDocstrings:

@@ -5,6 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import ButterflyFatTreeModel
+
+
+def _run_json(capsys, argv):
+    """The JSON record ``repro run ARGV --json`` prints."""
+    import json
+
+    assert main(["run", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestParser:
@@ -15,6 +24,13 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
+
+    @pytest.mark.parametrize("verb", ["sweep", "saturation", "simulate"])
+    def test_retired_verbs_rejected(self, verb):
+        # Retired in 3.0.0: `repro run` answers all three.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([verb])
+        assert exc.value.code == 2
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "fig3"])
@@ -39,14 +55,26 @@ class TestCommands:
         assert "Traceback" not in err
 
     def test_sweep(self, capsys):
-        assert main(["sweep", "-n", "64", "-f", "16", "--points", "4"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("\n") >= 5  # header + separator + 4 rows
+        # `run --points N` is the latency-vs-load table of the retired
+        # `sweep` verb: the Figure-3 grid up to 98% of saturation.
+        from repro.core import latency_sweep, load_grid_to_saturation
+
+        data = _run_json(capsys, ["-n", "64", "-f", "16", "--points", "4"])
+        model = ButterflyFatTreeModel(64)
+        curve = latency_sweep(model, 16, load_grid_to_saturation(model, 16, n_points=4))
+        assert data["metrics"]["curve"]["flit_loads"] == curve.flit_loads.tolist()
+        assert data["metrics"]["curve"]["latencies"] == curve.latencies.tolist()
 
     def test_saturation(self, capsys):
-        assert main(["saturation", "-n", "64", "-f", "16,32"]) == 0
-        out = capsys.readouterr().out
-        assert "flit load" in out
+        # `run --points 0` reports the Eq. 26 point of the retired
+        # `saturation` verb, one message length per run.
+        from repro.core import saturation_injection_rate
+
+        for flits in (16, 32):
+            data = _run_json(capsys, ["-n", "64", "-f", str(flits), "--points", "0"])
+            sat = saturation_injection_rate(ButterflyFatTreeModel(64), flits)
+            assert data["metrics"]["saturation"]["flit_load"] == sat.flit_load
+            assert data["metrics"]["curve"] is None
 
     def test_model_with_pattern(self, capsys):
         assert main(
@@ -69,23 +97,39 @@ class TestCommands:
         assert "latency" in out
 
     def test_sweep_with_pattern(self, capsys):
-        assert main(
-            ["sweep", "-n", "16", "-f", "16", "--points", "4", "--pattern", "tornado"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "tornado" in out
-        assert out.count("\n") >= 5
+        from repro.core import latency_sweep, load_grid_to_saturation
+        from repro.traffic import make_spec
+
+        argv = ["-n", "16", "-f", "16", "--points", "4", "--pattern", "tornado"]
+        data = _run_json(capsys, argv)
+        tm = ButterflyFatTreeModel(16).traffic_model(make_spec("tornado"), 16)
+        curve = latency_sweep(tm, 16, load_grid_to_saturation(tm, 16, n_points=4))
+        assert data["metrics"]["curve"]["latencies"] == curve.latencies.tolist()
+        assert main(["run", *argv]) == 0
+        assert "pattern=tornado" in capsys.readouterr().out
 
     def test_saturation_with_pattern(self, capsys):
-        assert main(
-            ["saturation", "-n", "16", "-f", "16", "--pattern", "bit-reversal"]
-        ) == 0
-        assert "bit-reversal" in capsys.readouterr().out
+        from repro.core import saturation_injection_rate
+        from repro.traffic import make_spec
+
+        data = _run_json(
+            capsys, ["-n", "16", "-f", "16", "--points", "0", "--pattern", "bit-reversal"]
+        )
+        sat = saturation_injection_rate(
+            ButterflyFatTreeModel(16), 16, spec=make_spec("bit-reversal")
+        )
+        assert data["metrics"]["saturation"]["flit_load"] == sat.flit_load
 
     def test_simulate_with_pattern(self, capsys):
         rc = main(
             [
+                "run",
+                "--backend",
                 "simulate",
+                "--replications",
+                "1",
+                "--points",
+                "0",
                 "-n",
                 "16",
                 "-f",
@@ -102,25 +146,24 @@ class TestCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "pattern: transpose" in out
-        assert "model prediction" in out
+        assert "pattern=transpose" in out
+        assert "point.model_prediction" in out
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["model", "--pattern", "zipf"])
 
-    def test_scalar_with_pattern_is_clean_error(self, capsys):
-        rc = main(
-            ["sweep", "-n", "16", "-f", "16", "--pattern", "tornado", "--scalar"]
-        )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("engine", ["event", "flit", "buffered"])
     def test_simulate_all_engines(self, capsys, engine):
         rc = main(
             [
+                "run",
+                "--backend",
                 "simulate",
+                "--replications",
+                "1",
+                "--points",
+                "0",
                 "-n",
                 "16",
                 "-f",
@@ -137,7 +180,7 @@ class TestCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "latency" in out and "model prediction" in out
+        assert "point.latency" in out and "point.model_prediction" in out
 
     def test_info(self, capsys):
         assert main(["info", "-n", "64"]) == 0
@@ -267,28 +310,29 @@ class TestJsonEverywhere:
 
     def test_sweep_json(self, capsys):
         data = self._json_out(
-            capsys, ["sweep", "-n", "16", "-f", "16", "--points", "4", "--json"]
+            capsys, ["run", "-n", "16", "-f", "16", "--points", "4", "--json"]
         )
-        assert len(data["flit_loads"]) == 4
-        assert len(data["latencies"]) == 4
+        assert len(data["metrics"]["curve"]["flit_loads"]) == 4
+        assert len(data["metrics"]["curve"]["latencies"]) == 4
 
     def test_saturation_json(self, capsys):
         data = self._json_out(
-            capsys, ["saturation", "-n", "16", "-f", "16,32", "--json"]
+            capsys, ["run", "-n", "16", "-f", "32", "--points", "0", "--json"]
         )
-        assert [row["message_flits"] for row in data["saturation"]] == [16, 32]
-        assert all(row["flit_load"] > 0 for row in data["saturation"])
+        assert data["scenario"]["message_flits"] == 32
+        assert data["metrics"]["saturation"]["flit_load"] > 0
 
     def test_simulate_json(self, capsys):
         data = self._json_out(
             capsys,
             [
-                "simulate", "-n", "16", "-f", "16", "-l", "0.04",
+                "run", "--backend", "simulate", "--replications", "1",
+                "--points", "0", "-n", "16", "-f", "16", "-l", "0.04",
                 "--warmup", "300", "--measure", "1200", "--json",
             ],
         )
-        assert data["latency_mean"] > 0
-        assert "model_prediction" in data
+        assert data["metrics"]["point"]["latency"] > 0
+        assert "model_prediction" in data["metrics"]["point"]
 
     def test_info_json(self, capsys):
         data = self._json_out(capsys, ["info", "-n", "16", "--json"])

@@ -34,6 +34,7 @@ from repro.core.generic_model import (
     bft_stage_graph,
     hypercube_stage_graph,
 )
+from repro.traffic import make_spec
 from repro.util.fixedpoint import fixed_point_batch
 
 
@@ -339,7 +340,7 @@ class TestVectorizedSaturation:
         vectorized = saturation_injection_rate(model, 32)
         vectorized_solves = model.solve_calls
         model.solve_calls = 0
-        scalar = saturation_injection_rate(model, 32, vectorized=False)
+        scalar = saturation_injection_rate(model, 32, stable=model.is_stable)
         scalar_solves = model.solve_calls
         assert vectorized.flit_load == pytest.approx(scalar.flit_load, rel=1e-6)
         assert vectorized_solves < scalar_solves
@@ -369,30 +370,21 @@ class TestVectorizedSaturation:
         res = saturation_injection_rate(model, 32)
         assert res.injection_rate == pytest.approx(0.01, rel=1e-5)
 
-    def test_forced_vectorized_errors_when_unhonorable(self):
-        class PredicateOnly:
-            def is_stable(self, workload):
-                return workload.injection_rate < 0.01
-
-        with pytest.raises(ConfigurationError):
-            saturation_injection_rate(PredicateOnly(), 32, vectorized=True)
-        with pytest.raises(ConfigurationError):
-            saturation_injection_rate(
-                ButterflyFatTreeModel(64),
-                32,
-                vectorized=True,
-                stable=lambda wl: wl.injection_rate < 0.01,
-            )
+    def test_stable_predicate_overrides_the_batched_search(self):
+        # A custom predicate wins over the model's stability_batch.
+        res = saturation_injection_rate(
+            ButterflyFatTreeModel(64), 32, stable=lambda wl: wl.injection_rate < 0.01
+        )
+        assert res.injection_rate == pytest.approx(0.01, rel=1e-5)
 
 
 class TestLoadGridPointCount:
-    @pytest.mark.parametrize("include_zero_limit", [True, False])
+    @pytest.mark.parametrize("with_spec", [True, False])
     @pytest.mark.parametrize("n_points", [2, 6, 10])
-    def test_always_honors_n_points(self, include_zero_limit, n_points):
+    def test_always_honors_n_points(self, with_spec, n_points):
         model = ButterflyFatTreeModel(64)
-        grid = load_grid_to_saturation(
-            model, 32, n_points=n_points, include_zero_limit=include_zero_limit
-        )
+        spec = make_spec("tornado") if with_spec else None
+        grid = load_grid_to_saturation(model, 32, n_points=n_points, spec=spec)
         assert len(grid) == n_points
         assert np.all(np.diff(grid) > 0)
         assert np.all(grid > 0)
@@ -400,8 +392,5 @@ class TestLoadGridPointCount:
     def test_top_of_range_unchanged(self):
         model = ButterflyFatTreeModel(64)
         sat = saturation_injection_rate(model, 32).flit_load
-        for flag in (True, False):
-            grid = load_grid_to_saturation(
-                model, 32, n_points=5, fraction=0.9, include_zero_limit=flag
-            )
-            assert grid[-1] == pytest.approx(0.9 * sat)
+        grid = load_grid_to_saturation(model, 32, n_points=5, fraction=0.9)
+        assert grid[-1] == pytest.approx(0.9 * sat)

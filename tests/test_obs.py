@@ -281,8 +281,7 @@ class TestRunTelemetry:
         assert math.isnan(h["weird"]["mean"])
 
     def test_model_and_batch_backends_report_identical_counters(self):
-        # At sweep_points=0 both backends perform the same one-point solve
-        # plus the same backend-invariant saturation search, so the solver
+        # ``model`` is answered by the batch engine's code, so the solver
         # counters must match exactly (span durations obviously differ).
         sc = tiny_scenario(topology="hypercube")
         results = {}
@@ -295,6 +294,19 @@ class TestRunTelemetry:
         assert sorted(model_hist) == sorted(batch_hist)
         for name in model_hist:
             assert model_hist[name]["count"] == batch_hist[name]["count"], name
+
+    def test_stage_graph_counts_saturated_points(self):
+        # The stage-graph engine counts points past saturation like the
+        # closed-form engines do (hypercube: a ChannelGraphModel).
+        from repro.core import saturation_injection_rate
+
+        model = design_family("hypercube").evaluator({"dimension": 4}, None, 16)
+        sat = saturation_injection_rate(model, 16).injection_rate
+        with METRICS.collect() as got:
+            lat = model.latency_batch(sat * np.array([0.5, 0.9, 1.5, 2.0, 4.0]), 16)
+        assert np.isfinite(lat).tolist() == [True, True, False, False, False]
+        assert got.data["counters"]["solve.points"] == 5
+        assert got.data["counters"]["solve.saturated_points"] == 3
 
     def test_faulted_torus_records_fixed_point_telemetry(self):
         # The fault-masked torus stage graph is cyclic, so the solver runs

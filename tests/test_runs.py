@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from repro.runs import (
     json_safe,
     run,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -258,16 +261,41 @@ class TestRunResultSerialization:
 
 class TestBackends:
     def test_model_and_batch_agree_exactly(self):
+        """``model`` is an alias of ``batch``: the same engine and answers."""
         sc = tiny_scenario(backend="model")
         a = run(sc)
         b = run(sc.with_backend("batch"))
-        assert a.metrics["point"]["latency"] == b.metrics["point"]["latency"]
-        np.testing.assert_array_equal(
-            a.metrics["curve"]["latencies"], b.metrics["curve"]["latencies"]
+        assert a.metrics["engine"] == b.metrics["engine"] == "batch"
+        assert a.metrics["point"] == b.metrics["point"]
+        assert a.metrics["saturation"] == b.metrics["saturation"]
+        # The curve label names the backend; everything else is equal.
+        assert a.metrics["curve"].pop("label") == "model 16-flit"
+        assert b.metrics["curve"].pop("label") == "batch 16-flit"
+        assert a.metrics["curve"] == b.metrics["curve"]
+
+    def test_model_scenario_key_unchanged(self):
+        # Scenario keys hash the backend name; keeping ``model`` as a name
+        # keeps the keys of stored 2.x records valid.
+        assert Scenario(backend="model").key() == (
+            "sk1-f5c672a97f764695abb320774a075def419ba9064013af5f029f7564c5d4baec"
         )
-        assert a.metrics["saturation"]["flit_load"] == pytest.approx(
-            b.metrics["saturation"]["flit_load"], rel=1e-5
-        )
+
+    def test_stored_scalar_engine_record_loads_and_diffs_on_engine(self, tmp_path):
+        """A 2.x ``model`` record (``"engine": "scalar"``) still loads, and
+        diffing it against a fresh run changes only ``engine`` (outside the
+        run-to-run observability telemetry)."""
+        stored = json.loads((DATA / "model_record_v2.json").read_text())
+        registry = RunRegistry(tmp_path)
+        old = RunResult.from_json(stored)
+        assert old.metrics["engine"] == "scalar"
+        registry.save(old)
+        assert registry.load(old.run_id) == old
+        new = Runner(registry=registry).run(old.scenario)
+        assert new.scenario.key() == old.scenario.key()
+        diff = registry.diff(old.run_id, new.run_id)
+        assert diff.relabeled == (("engine", "scalar", "batch"),)
+        assert diff.only_a == () and diff.only_b == ()
+        assert all(d.key.startswith("observability.") for d in diff.changed)
 
     def test_baseline_differs_from_model(self):
         sc = tiny_scenario(sweep_points=0)
@@ -346,7 +374,7 @@ class TestAcceptance:
         }
         # latency sweep (batch) ...
         assert len(results["batch"].metrics["curve"]["latencies"]) == 4
-        # ... a saturation search (model, scalar reference engine) ...
+        # ... a saturation search (model, the batch engine's alias) ...
         assert results["model"].metrics["saturation"]["flit_load"] > 0
         # ... a simulator replication set ...
         assert len(results["simulate"].metrics["replications"]) == 2
@@ -537,6 +565,22 @@ class TestFlatten:
         # The numeric comparison itself is untouched by the fix.
         assert [d.key for d in diff.deltas] == ["x.v"]
 
+    def test_diff_reports_changed_non_numeric_leaves(self):
+        diff = diff_metrics(
+            {"engine": "scalar", "ok": True, "v": 1.0, "cap": 2.0, "same": "x"},
+            {"engine": "batch", "ok": False, "v": 1.0, "cap": None, "same": "x"},
+        )
+        assert diff.relabeled == (
+            ("cap", 2.0, None),
+            ("engine", "scalar", "batch"),
+            ("ok", True, False),
+        )
+        assert diff.changed == ()
+        assert "changed engine: 'scalar' -> 'batch'" in diff.render()
+        assert diff.to_json()["relabeled"][1] == {
+            "key": "engine", "a": "scalar", "b": "batch"
+        }
+
     def test_diff_against_nan_is_undefined_not_infinite(self):
         # A censored simulate run can carry nan latencies; comparing a
         # finite baseline against nan must report "undefined", not ±inf.
@@ -553,53 +597,6 @@ class TestFlatten:
         row_n = next(i for i, l in enumerate(rows) if l.startswith("n "))
         row_m = next(i for i, l in enumerate(rows) if l.startswith("m "))
         assert row_n < row_m
-
-
-class TestDeprecationShims:
-    def test_warns_exactly_once_per_call_site(self):
-        import repro
-        from repro import ButterflyFatTreeModel
-
-        model = ButterflyFatTreeModel(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            for _ in range(3):
-                repro.saturation_injection_rate(model, 16)  # one call site, thrice
-            assert len(caught) == 1
-            assert issubclass(caught[0].category, DeprecationWarning)
-            assert "deprecated" in str(caught[0].message)
-            repro.saturation_injection_rate(model, 16)  # a second call site
-            assert len(caught) == 2
-
-    def test_every_shimmed_entry_point_warns_and_delegates(self):
-        import repro
-        from repro.core import saturation_injection_rate as undecorated
-
-        model = repro.ButterflyFatTreeModel(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("always")
-            sat = repro.saturation_injection_rate(model, 16)
-            grid = repro.load_grid_to_saturation(model, 16, n_points=4)
-            curve = repro.latency_sweep(model, 16, grid)
-            flit_load = repro.saturation_flit_load(model, 16)
-        assert len(caught) == 4
-        assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-        # The shims delegate to the real implementations.
-        assert sat.injection_rate == undecorated(model, 16).injection_rate
-        assert flit_load == pytest.approx(sat.flit_load)
-        assert len(curve.latencies) == 4
-
-    def test_home_module_imports_stay_warning_free(self):
-        from repro.core import saturation_injection_rate
-        from repro import ButterflyFatTreeModel
-
-        model = ButterflyFatTreeModel(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            saturation_injection_rate(model, 16)
-        assert caught == []
 
 
 class TestRegistryScanMemo:
