@@ -6,12 +6,12 @@ reports distribution statistics.  They guard against performance
 regressions in the hot paths identified by profiling (model sweeps inside
 the saturation search; simulator event loops).
 
-The batch-engine benches compare a whole 64-point N=1024 load sweep solved
-in one ``latency_batch`` NumPy pass against the same grid looped through
-scalar ``latency`` calls, and the vectorized saturation bracket against the
-scalar bisection.  ``test_batch_baseline_json`` additionally runs the
-headless suite from :mod:`run_benchmarks` and writes
-``benchmarks/BENCH_perf.json`` so the speedups are tracked across PRs.
+The batch-engine benches time a whole 64-point N=1024 load sweep solved in
+one ``latency_batch`` NumPy pass and the vectorized saturation bracket; their
+agreement with the scalar loop and bisection is gated bit-for-bit (and by
+solve count) in ``tests/test_core_batch.py``.  ``test_batch_baseline_json``
+additionally runs the headless suite from :mod:`run_benchmarks` and writes
+``benchmarks/BENCH_perf.json`` so the medians are tracked across PRs.
 """
 
 from __future__ import annotations
@@ -53,17 +53,6 @@ def test_saturation_search_1024(benchmark):
     assert 0.02 < result < 0.06
 
 
-def test_saturation_search_scalar_1024(benchmark):
-    """The seed's scalar bracket-plus-bisection, kept as the comparison."""
-    model = ButterflyFatTreeModel(1024)
-    result = benchmark(
-        lambda: saturation_injection_rate(
-            model, 32, stable=model.is_stable
-        ).flit_load
-    )
-    assert 0.02 < result < 0.06
-
-
 def test_batch_sweep_64pt_1024(benchmark):
     """One latency_batch pass over a 64-point load grid at N=1024."""
     model = ButterflyFatTreeModel(1024)
@@ -72,16 +61,8 @@ def test_batch_sweep_64pt_1024(benchmark):
     assert np.isfinite(latencies).any() and np.isinf(latencies).any()
 
 
-def test_scalar_sweep_64pt_1024(benchmark):
-    """The same 64-point grid looped through scalar latency calls."""
-    model = ButterflyFatTreeModel(1024)
-    workloads = [Workload(32, float(x)) for x in np.linspace(0.002, 0.05, 64) / 32]
-    latencies = benchmark(lambda: [model.latency(wl) for wl in workloads])
-    assert any(np.isfinite(x) for x in latencies)
-
-
 def test_batch_baseline_json(benchmark):
-    """Headless suite: asserts the batch speedup and refreshes the baseline.
+    """Headless suite: refreshes the baseline.
 
     ``benchmarks/BENCH_perf.json`` is the single canonical baseline path —
     this test and an explicit ``python benchmarks/run_benchmarks.py`` run
@@ -93,11 +74,6 @@ def test_batch_baseline_json(benchmark):
     )
     path = run_benchmarks.write_baseline(report, run_benchmarks.DEFAULT_OUTPUT)
     register_result(path)
-    speedup = report["derived"]["batch_sweep_speedup"]
-    benchmark.extra_info["batch_sweep_speedup"] = speedup
-    benchmark.extra_info["saturation_speedup"] = report["derived"]["saturation_speedup"]
-    # Acceptance floor for the batch engine (observed ~50-70x).
-    assert speedup >= 5.0, f"batch sweep only {speedup:.1f}x faster than scalar loop"
 
 
 def test_topology_construction_1024(benchmark):

@@ -2,7 +2,7 @@
 
 Runs the engineering micro-benchmarks (no pytest, no simulators) and writes
 the canonical perf baseline ``benchmarks/BENCH_perf.json`` — median
-wall-clock seconds per bench plus derived speedup ratios — so each PR
+wall-clock seconds per bench plus derived throughput and speedup ratios — so each PR
 leaves a machine-readable perf trajectory to compare against:
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
@@ -16,12 +16,13 @@ runs and diff with ``repro runs diff <id-or-latest> benchmarks/BENCH_perf.json``
 CI smoke runs; pair it with ``--output`` to keep the committed baseline
 untouched.
 
-The headline numbers guard the batch solver engine: a 64-point N=1024 load
-sweep solved in one ``latency_batch`` pass versus the same grid looped
-through scalar ``latency`` calls, the vectorized Eq. 26 saturation search
-versus the scalar bracket-plus-bisection, and the design-space explorer's
-candidate throughput (candidates evaluated per second, cold metrics
-cache).  The serve/registry entries (from :mod:`bench_serve`) track the
+The solver benches time a 64-point N=1024 load sweep solved in one
+``latency_batch`` pass, the vectorized Eq. 26 saturation search and the
+design-space explorer's candidate throughput (candidates evaluated per
+second, cold metrics cache).  That the batch sweep equals a scalar
+``latency`` loop bit-for-bit, and that the vectorized saturation search
+needs fewer solves than the scalar bisection, is gated deterministically
+by ``tests/test_core_batch.py`` rather than timed here.  The serve/registry entries (from :mod:`bench_serve`) track the
 scenario service: a cache hit versus a cold solve, and a selective
 indexed registry query versus the linear JSONL scan.
 """
@@ -100,22 +101,9 @@ def bench_batch_sweep(cfg: BenchConfig) -> Callable[[], object]:
     return lambda: model.latency_batch(rates, cfg.sweep_flits)
 
 
-def bench_scalar_sweep(cfg: BenchConfig) -> Callable[[], object]:
-    model = ButterflyFatTreeModel(cfg.sweep_processors)
-    workloads = [Workload(cfg.sweep_flits, float(x)) for x in _sweep_rates(cfg)]
-    return lambda: [model.latency(wl) for wl in workloads]
-
-
 def bench_saturation_vectorized(cfg: BenchConfig) -> Callable[[], object]:
     model = ButterflyFatTreeModel(cfg.sweep_processors)
     return lambda: saturation_injection_rate(model, cfg.sweep_flits).flit_load
-
-
-def bench_saturation_scalar(cfg: BenchConfig) -> Callable[[], object]:
-    model = ButterflyFatTreeModel(cfg.sweep_processors)
-    return lambda: saturation_injection_rate(
-        model, cfg.sweep_flits, stable=model.is_stable
-    ).flit_load
 
 
 def bench_generic_graph(cfg: BenchConfig) -> Callable[[], object]:
@@ -194,9 +182,7 @@ def bench_registry_query_scan(cfg: BenchConfig) -> Callable[[], object]:
 BENCHES: dict[str, Callable[[BenchConfig], Callable[[], object]]] = {
     "model_solve": bench_model_solve,
     "batch_sweep": bench_batch_sweep,
-    "scalar_sweep": bench_scalar_sweep,
     "saturation_vectorized": bench_saturation_vectorized,
-    "saturation_scalar": bench_saturation_scalar,
     "generic_graph": bench_generic_graph,
     "topology_build": bench_topology_build,
     "design_explore": bench_design_explore,
@@ -245,13 +231,6 @@ def collect(*, repeats: int | None = None, quick: bool = False) -> dict:
         benches[name] = entry
     n_candidates = len(design_space_for(cfg).candidates())
     derived = {
-        "batch_sweep_speedup": (
-            benches["scalar_sweep"]["median_s"] / benches["batch_sweep"]["median_s"]
-        ),
-        "saturation_speedup": (
-            benches["saturation_scalar"]["median_s"]
-            / benches["saturation_vectorized"]["median_s"]
-        ),
         "design_candidates_per_s": (
             n_candidates / benches["design_explore"]["median_s"]
         ),

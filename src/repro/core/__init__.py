@@ -2,8 +2,10 @@
 
 * :mod:`repro.core.rates` — channel arrival rates (Eqs. 12-15);
 * :mod:`repro.core.blocking` — the wormhole blocking correction (Eqs. 9-10);
-* :mod:`repro.core.bft_model` — the closed-form butterfly fat-tree solver
-  (Eqs. 16-25);
+* :mod:`repro.core.generalized_model` — the closed-form (c, p) fat-tree
+  solver (Eqs. 16-26, written once);
+* :mod:`repro.core.bft_model` — the paper's butterfly fat-tree, its
+  ``(4, 2)`` member;
 * :mod:`repro.core.generic_model` — the general Section-2 recursion on
   arbitrary channel graphs (Eqs. 3, 11), with ready-made fat-tree and
   hypercube instantiations;
@@ -35,7 +37,6 @@ from .generic_model import (
 )
 from .rates import (
     bft_channel_rates,
-    bft_channel_rates_batch,
     bft_channel_rates_for_matrix,
     bft_matrix_up_crossings,
     bft_total_up_crossings,
@@ -63,7 +64,6 @@ __all__ = [
     "ButterflyFatTreeModel",
     "blocking_probability",
     "blocking_probability_batch",
-    "bft_channel_rates_batch",
     "generalized_channel_rates_batch",
     "StageBatchSolution",
     "GeneralizedFatTreeModel",

@@ -8,12 +8,14 @@ blocking corrections become arrays with one entry per injection rate, and
 ``inf`` propagates per point past saturation without poisoning the finite
 entries.
 
-:class:`BatchSolution` is the result type shared by all three model classes
-(:meth:`ButterflyFatTreeModel.solve_batch <repro.core.bft_model.ButterflyFatTreeModel.solve_batch>`,
-:meth:`GeneralizedFatTreeModel.solve_batch <repro.core.generalized_model.GeneralizedFatTreeModel.solve_batch>`,
-and the :class:`~repro.core.generic_model.ChannelGraphModel` batch API).
-Each scalar ``latency(workload)`` is a thin wrapper over a one-point batch,
-so batch and scalar sweeps agree bit-for-bit.
+:class:`BatchSolution` is the result type of the closed-form fat-tree solver,
+:meth:`GeneralizedFatTreeModel.solve_batch
+<repro.core.generalized_model.GeneralizedFatTreeModel.solve_batch>` (which
+also answers :class:`~repro.core.bft_model.ButterflyFatTreeModel`).  Its
+scalar ``latency(workload)`` is a thin wrapper over a one-point batch, so
+batch and scalar sweeps agree bit-for-bit.  :func:`as_injection_rates` and
+:func:`charged_wait` are shared with the stage-graph engine
+(:class:`~repro.core.generic_model.ChannelGraphModel`).
 """
 
 from __future__ import annotations
@@ -23,27 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..obs.metrics import METRICS
 
-__all__ = [
-    "BatchSolution",
-    "as_injection_rates",
-    "assemble_level_batch",
-    "charged_wait",
-    "level_detail_columns",
-]
-
-#: Per-channel-class arrays carried in :attr:`BatchSolution.details` by the
-#: two-sweep fat-tree solvers (each of shape ``(levels, K)``).
-LEVEL_DETAIL_KEYS = ("rate", "down_service", "down_wait", "up_service", "up_wait")
+__all__ = ["BatchSolution", "as_injection_rates", "charged_wait"]
 
 
 def charged_wait(p_block: np.ndarray, wait: np.ndarray) -> np.ndarray:
     """Vectorized blocking charge ``P_{i|j} * W_j`` (Eq. 9).
 
     A zero blocking probability cancels the wait even when the wait has
-    diverged (guards against ``0 * inf -> NaN`` per point, the batch
-    analogue of the scalar solvers' ``charge`` helper).
+    diverged (guards against ``0 * inf -> NaN`` per point).
     """
     with np.errstate(invalid="ignore"):
         product = p_block * wait
@@ -166,68 +156,3 @@ class BatchSolution:
         return [
             (float(x), float(y)) for x, y in zip(self.flit_loads, self.latencies)
         ]
-
-
-def assemble_level_batch(
-    *,
-    message_flits: int,
-    injection_rates: np.ndarray,
-    average_distance: float,
-    rate: np.ndarray,
-    down_service: np.ndarray,
-    down_wait: np.ndarray,
-    up_service: np.ndarray,
-    up_wait: np.ndarray,
-) -> BatchSolution:
-    """Assemble a :class:`BatchSolution` from two-sweep fat-tree arrays.
-
-    Shared tail of the BFT and generalized ``solve_batch`` implementations:
-    a point counts as saturated when *any* channel class diverged, and
-    finite points get the Eq. 25 latency ``W_{0,1} + x_{0,1} + D_bar - 1``.
-    """
-    finite = (
-        np.all(np.isfinite(down_service), axis=0)
-        & np.all(np.isfinite(down_wait), axis=0)
-        & np.all(np.isfinite(up_service), axis=0)
-        & np.all(np.isfinite(up_wait), axis=0)
-    )
-    if METRICS.enabled:
-        # Same counter names as the stage-graph engine, so the model and
-        # batch backends report identical solve telemetry per operating
-        # point whichever family answered.
-        METRICS.add("solve.batch")
-        METRICS.add("solve.points", float(finite.size))
-        METRICS.add(
-            "solve.saturated_points", float(finite.size - np.count_nonzero(finite))
-        )
-    latencies = np.where(
-        finite,
-        up_wait[0] + up_service[0] + average_distance - 1.0,
-        np.inf,
-    )
-    return BatchSolution(
-        message_flits=message_flits,
-        injection_rates=injection_rates,
-        injection_service=up_service[0],
-        injection_wait=up_wait[0],
-        latencies=latencies,
-        average_distance=average_distance,
-        details={
-            "rate": rate,
-            "down_service": down_service,
-            "down_wait": down_wait,
-            "up_service": up_service,
-            "up_wait": up_wait,
-        },
-    )
-
-
-def level_detail_columns(batch: BatchSolution, point: int = 0) -> dict[str, np.ndarray]:
-    """Extract one operating point's per-level arrays as independent copies.
-
-    Used by the scalar ``solve`` wrappers to build their single-point
-    solution records from a one-point batch.
-    """
-    return {
-        name: batch.details[name][:, point].copy() for name in LEVEL_DETAIL_KEYS
-    }

@@ -1,132 +1,26 @@
 """The paper's analytical model of the butterfly fat-tree (Section 3).
 
-The model resolves per-channel-class mean service times and waiting times in
-two closed-form sweeps (no fixed-point iteration is needed because the
-channel dependency graph of the fat-tree is acyclic):
-
-1. **Down sweep** (Eqs. 16-19), from the ejection channels upward: the
-   service time of a down channel is the downstream service time plus the
-   blocking-corrected downstream wait; waits come from the M/G/1 model
-   because down links have no redundancy.
-2. **Up sweep** (Eqs. 20-24), from the root level downward: an up channel's
-   service time mixes the continue-up branch (weight ``P^``) and the
-   turn-down branch (weight ``P#``); waits on up channels use the
-   *two-server* M/G/2 model fed the total pair rate ``2 * lambda`` (this is
-   the published correction to Eqs. 21/23), except the injection channel
-   ``<0,1>`` which has no redundant partner and stays M/G/1 (Eq. 24).
-
-Average latency then follows from Eq. 25:
-``L = W_{0,1} + x_{0,1} + (D_bar - 1)``.
-
-Saturated operating points (any channel utilization at or above capacity)
-yield ``inf`` waits that propagate to an ``inf`` latency; callers can test
-:attr:`BftSolution.saturated`.
-
-The recursion is implemented once, *batched*: :meth:`solve_batch` and
-:meth:`latency_batch` broadcast both sweeps over a whole vector of
-injection rates in one NumPy pass (service times, M/G/m waits and blocking
-corrections all carry a trailing load axis, with ``inf`` propagating per
-point past saturation).  The scalar :meth:`solve` / :meth:`latency` are
-thin wrappers over a one-point batch, so batch and scalar sweeps agree
-bit-for-bit.
+The 4-2 butterfly fat-tree is the ``(children, parents) = (4, 2)`` member of
+the generalized fat-tree family, so :class:`ButterflyFatTreeModel` is a thin
+subclass of :class:`~repro.core.generalized_model.GeneralizedFatTreeModel`:
+the Eq. 16-24 sweeps, the Eq. 25 latency and the Eq. 26 stability test live
+there, written once.  This module adds only what is specific to the BFT —
+the ``N = 4**n`` constructor, the pattern-aware per-channel solver
+(:meth:`ButterflyFatTreeModel.traffic_model`) and the one-line summary.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..config import Workload
 from ..errors import ConfigurationError
-from ..queueing.distributions import scv_for_mode_batch
-from ..queueing.mg1 import mg1_waiting_time_batch
-from ..queueing.mgm import mgm_waiting_time_batch
-from ..topology.properties import bft_average_distance
 from ..util.validation import check_power_of
-from .batch import (
-    BatchSolution,
-    as_injection_rates,
-    assemble_level_batch,
-    charged_wait,
-    level_detail_columns,
-)
-from .blocking import blocking_probability_batch
-from .rates import (
-    bft_channel_rates_batch,
-    conditional_up_probability,
-    up_probability,
-)
+from .generalized_model import BftSolution, GeneralizedFatTreeModel
 from .variants import ModelVariant
 
 __all__ = ["BftSolution", "ButterflyFatTreeModel"]
 
 
-@dataclass(frozen=True)
-class BftSolution:
-    """Per-channel-class solution of the model at one operating point.
-
-    All arrays have length ``levels`` and are indexed by the *lower* level
-    of the channel: index ``l`` refers to up channel ``<l, l+1>`` and down
-    channel ``<l+1, l>``.  Rates are per physical link (messages/cycle).
-    """
-
-    workload: Workload
-    levels: int
-    rate: np.ndarray
-    down_service: np.ndarray
-    down_wait: np.ndarray
-    up_service: np.ndarray
-    up_wait: np.ndarray
-    average_distance: float
-
-    @property
-    def saturated(self) -> bool:
-        """True when any wait or service time diverged (no steady state)."""
-        return not (
-            np.all(np.isfinite(self.down_service))
-            and np.all(np.isfinite(self.down_wait))
-            and np.all(np.isfinite(self.up_service))
-            and np.all(np.isfinite(self.up_wait))
-        )
-
-    @property
-    def injection_wait(self) -> float:
-        """``W_{0,1}`` — the M/G/1 wait at the source (Eq. 24)."""
-        return float(self.up_wait[0])
-
-    @property
-    def injection_service(self) -> float:
-        """``x_{0,1}`` — the source service time, including all downstream blocking."""
-        return float(self.up_service[0])
-
-    @property
-    def latency(self) -> float:
-        """Average message latency in cycles (Eq. 25)."""
-        if self.saturated:
-            return math.inf
-        return self.injection_wait + self.injection_service + self.average_distance - 1.0
-
-    def up_utilization(self) -> np.ndarray:
-        """Per-server utilization ``rho`` of each up channel class."""
-        return self.rate * self.up_service
-
-    def down_utilization(self) -> np.ndarray:
-        """Per-server utilization ``rho`` of each down channel class."""
-        return self.rate * self.down_service
-
-    def breakdown(self) -> dict[str, float]:
-        """Named latency components (for reports and examples)."""
-        return {
-            "injection_wait": self.injection_wait,
-            "injection_service": self.injection_service,
-            "pipeline": self.average_distance - 1.0,
-            "latency": self.latency,
-        }
-
-
-class ButterflyFatTreeModel:
+class ButterflyFatTreeModel(GeneralizedFatTreeModel):
     """Analytical latency/throughput model of a butterfly fat-tree.
 
     Parameters
@@ -148,172 +42,8 @@ class ButterflyFatTreeModel:
     def __init__(
         self, num_processors: int, variant: ModelVariant | None = None
     ) -> None:
-        self.levels = check_power_of("num_processors", num_processors, 4)
-        self.num_processors = num_processors
-        self.variant = variant or ModelVariant.paper()
-        self.average_distance = bft_average_distance(self.levels)
-
-    # --- waiting-time helpers -------------------------------------------------
-
-    def _scv_batch(self, service: np.ndarray, message_flits: int) -> np.ndarray:
-        """Per-point SCV of a channel class (0 past saturation)."""
-        return scv_for_mode_batch(self.variant.scv_mode, service, message_flits)
-
-    def _down_wait_batch(
-        self, rate: np.ndarray, service: np.ndarray, message_flits: int
-    ) -> np.ndarray:
-        return mg1_waiting_time_batch(
-            rate, service, self._scv_batch(service, message_flits)
-        )
-
-    def _up_wait_batch(
-        self, rate: np.ndarray, service: np.ndarray, message_flits: int
-    ) -> np.ndarray:
-        """Wait on an up channel: M/G/2 over the pair, or per-link M/G/1 ablation.
-
-        The two-server form receives the pair's total arrival rate
-        ``2 * rate`` (published correction); the no-multiserver ablation
-        models each up link as an independent M/G/1 queue carrying ``rate``.
-        """
-        scv = self._scv_batch(service, message_flits)
-        if self.variant.multiserver_up:
-            return mgm_waiting_time_batch(2.0 * rate, service, 2, scv)
-        return mg1_waiting_time_batch(rate, service, scv)
-
-    def _climb_probability(self, level: int) -> float:
-        """Branching probability that a message at ``level`` keeps climbing."""
-        if self.variant.conditional_up_probability:
-            return conditional_up_probability(self.levels, level)
-        return up_probability(self.levels, level)
-
-    # --- the solver -----------------------------------------------------------
-
-    def solve_batch(
-        self, injection_rates, message_flits: int
-    ) -> BatchSolution:
-        """Resolve every channel class over a whole vector of injection rates.
-
-        Both Eq. 16-24 sweeps are broadcast over the load axis: all stage
-        service times, M/G/m waits and blocking corrections are arrays with
-        one entry per injection rate, with ``inf`` propagating per point
-        past saturation.  Column ``k`` of every per-level array is
-        bit-identical to the scalar solve at ``injection_rates[k]``.
-        """
-        if not isinstance(message_flits, int) or message_flits <= 0:
-            raise ConfigurationError("message_flits must be a positive integer")
-        inj = as_injection_rates(injection_rates)
-        n = self.levels
-        flits = message_flits
-        blocking = self.variant.blocking_correction
-        rate = bft_channel_rates_batch(n, inj)  # (levels, K)
-
-        down_service = np.empty_like(rate)
-        down_wait = np.empty_like(rate)
-        up_service = np.empty_like(rate)
-        up_wait = np.empty_like(rate)
-
-        # ---- down sweep: ejection channel first (Eqs. 16-19) ----
-        down_service[0] = float(flits)
-        down_wait[0] = self._down_wait_batch(rate[0], down_service[0], flits)
-        for l in range(1, n):
-            p_block = blocking_probability_batch(
-                1, rate[l], rate[l - 1], 0.25, enabled=blocking
-            )
-            down_service[l] = down_service[l - 1] + charged_wait(
-                p_block, down_wait[l - 1]
-            )
-            down_wait[l] = self._down_wait_batch(rate[l], down_service[l], flits)
-
-        # ---- up sweep: root level first (Eqs. 20-24) ----
-        for u in range(n - 1, -1, -1):
-            switch_level = u + 1  # level of the switch this channel enters
-            p_up = self._climb_probability(switch_level)
-            p_down = 1.0 - p_up
-
-            service = np.zeros(inj.shape)
-            if p_up > 0.0:
-                if self.variant.multiserver_up:
-                    # One two-server channel per switch, total rate 2*lambda,
-                    # targeted with the full climb probability.
-                    servers, group_rate, queue_prob = 2, 2.0 * rate[u + 1], p_up
-                else:
-                    # Ablation: two independent M/G/1 queues, each targeted
-                    # with half the climb probability.
-                    servers, group_rate, queue_prob = 1, rate[u + 1], p_up / 2.0
-                p_block_up = blocking_probability_batch(
-                    servers, rate[u], group_rate, queue_prob, enabled=blocking
-                )
-                service = service + p_up * (
-                    up_service[u + 1] + charged_wait(p_block_up, up_wait[u + 1])
-                )
-
-            # Turn-down branch: three sibling subtrees, one single-server
-            # down channel each (the top level has exactly this form, with
-            # p_down == 1, reproducing Eq. 20's factor 2/3).
-            p_block_down = blocking_probability_batch(
-                1, rate[u], rate[u], p_down / 3.0, enabled=blocking
-            )
-            service = service + p_down * (
-                down_service[u] + charged_wait(p_block_down, down_wait[u])
-            )
-
-            up_service[u] = service
-            if u == 0:
-                # Injection channel <0,1>: no redundant partner (Eq. 24).
-                up_wait[0] = mg1_waiting_time_batch(
-                    rate[0], up_service[0], self._scv_batch(up_service[0], flits)
-                )
-            else:
-                up_wait[u] = self._up_wait_batch(rate[u], up_service[u], flits)
-
-        return assemble_level_batch(
-            message_flits=flits,
-            injection_rates=inj,
-            average_distance=self.average_distance,
-            rate=rate,
-            down_service=down_service,
-            down_wait=down_wait,
-            up_service=up_service,
-            up_wait=up_wait,
-        )
-
-    def solve(self, workload: Workload) -> BftSolution:
-        """Resolve all channel service and waiting times at ``workload``.
-
-        Thin wrapper over a one-point :meth:`solve_batch` (the recursion is
-        implemented once, batched), preserving the scalar result layout.
-        """
-        if not isinstance(workload, Workload):
-            raise ConfigurationError(f"workload must be a Workload, got {workload!r}")
-        batch = self.solve_batch(
-            np.array([workload.injection_rate]), workload.message_flits
-        )
-        return BftSolution(
-            workload=workload,
-            levels=self.levels,
-            average_distance=self.average_distance,
-            **level_detail_columns(batch),
-        )
-
-    # --- convenience API --------------------------------------------------------
-
-    def latency(self, workload: Workload) -> float:
-        """Average message latency in cycles (``inf`` past saturation)."""
-        return self.solve(workload).latency
-
-    def latency_batch(self, loads, message_flits: int) -> np.ndarray:
-        """Average latency for a whole vector of injection rates in one pass.
-
-        ``loads`` are injection rates ``lambda_0`` in messages/cycle/PE
-        (``flit_load / message_flits``, i.e. ``Workload.injection_rate``).
-        Entry ``k`` equals ``latency(Workload(message_flits, loads[k]))``
-        exactly — the scalar path is a one-point batch of this routine.
-        """
-        return self.solve_batch(loads, message_flits).latencies
-
-    def stability_batch(self, loads, message_flits: int) -> np.ndarray:
-        """Vectorized Eq. 26 stability test (one bool per injection rate)."""
-        return self.solve_batch(loads, message_flits).stable_mask
+        levels = check_power_of("num_processors", num_processors, 4)
+        super().__init__(4, 2, levels, variant)
 
     def traffic_model(
         self, spec, message_flits: int, *, reference_rate: float | None = None
@@ -352,24 +82,6 @@ class ButterflyFatTreeModel:
             Workload(message_flits, rate),
             spec,
             variant=self.variant,
-        )
-
-    def latency_at_flit_load(self, flit_load: float, message_flits: int) -> float:
-        """Latency with load given in Figure-3 units (flits/cycle/PE)."""
-        return self.latency(Workload.from_flit_load(flit_load, message_flits))
-
-    def zero_load_latency(self, message_flits: int) -> float:
-        """The contention-free limit ``s/f + D_bar - 1``."""
-        return float(message_flits) + self.average_distance - 1.0
-
-    def is_stable(self, workload: Workload) -> bool:
-        """True when the model admits a steady state at ``workload``."""
-        solution = self.solve(workload)
-        if solution.saturated:
-            return False
-        # Eq. 26: the source must keep up with its own offered rate.
-        return (
-            workload.injection_rate * solution.injection_service < 1.0
         )
 
     def describe(self) -> str:

@@ -16,15 +16,23 @@ out that extension.  All of Section 3's derivations generalize directly:
 * latency/throughput: Eqs. 25-26 unchanged, with
   ``D_bar = sum_l 2 l (c^l - c^(l-1)) / (c^n - 1)``.
 
-Setting ``(c, p) = (4, 2)`` reproduces
-:class:`~repro.core.bft_model.ButterflyFatTreeModel` to machine precision
-(a test asserts it), so this is a strict generalization, not a parallel
-implementation.
+The butterfly fat-tree of Section 3 is the ``(c, p) = (4, 2)`` member:
+:class:`~repro.core.bft_model.ButterflyFatTreeModel` subclasses
+:class:`GeneralizedFatTreeModel` and adds only its constructor, pattern
+solver and summary, so this module is the one closed-form implementation of
+Eqs. 16-24.  ``tests/data/fattree_closed_form_v3.json`` pins its 4-2
+answers bit-for-bit to values recorded by repro 3.0.0, and the
+stage-graph engine (:func:`~repro.core.generic_model.generalized_fattree_stage_graph`)
+re-derives them independently (to a relative 1e-12).
 
-Like the 4-2 model, the sweeps are implemented batched: ``solve_batch`` /
-``latency_batch`` evaluate a whole vector of injection rates in one NumPy
-pass (``inf`` propagating per point past saturation), and the scalar
-``solve`` / ``latency`` are one-point wrappers over that engine.
+The sweeps are implemented batched: ``solve_batch`` / ``latency_batch``
+evaluate a whole vector of injection rates in one NumPy pass (``inf``
+propagating per point past saturation), and the scalar ``solve`` /
+``latency`` are one-point wrappers over that engine.
+
+Saturated operating points (any channel utilization at or above capacity)
+yield ``inf`` waits that propagate to an ``inf`` latency; callers can test
+:attr:`BftSolution.saturated`.
 """
 
 from __future__ import annotations
@@ -37,21 +45,18 @@ import numpy as np
 
 from ..config import Workload
 from ..errors import ConfigurationError
+from ..obs.metrics import METRICS
 from ..queueing.distributions import scv_for_mode_batch
 from ..queueing.mg1 import mg1_waiting_time_batch
 from ..queueing.mgm import mgm_waiting_time_batch
-from .batch import (
-    BatchSolution,
-    as_injection_rates,
-    assemble_level_batch,
-    charged_wait,
-    level_detail_columns,
-)
+from .batch import BatchSolution, as_injection_rates, charged_wait
 from .blocking import blocking_probability_batch
 from .variants import ModelVariant
 
 __all__ = [
+    "BftSolution",
     "GeneralizedFatTreeModel",
+    "climb_probability",
     "generalized_up_probability",
     "generalized_channel_rates",
     "generalized_channel_rates_batch",
@@ -66,6 +71,25 @@ def generalized_up_probability(children: int, levels: int, level: int) -> float:
     if not (0 <= level <= levels):
         raise ConfigurationError(f"level must be in [0, {levels}], got {level!r}")
     return (children**levels - children**level) / (children**levels - 1)
+
+
+def climb_probability(
+    children: int, levels: int, level: int, *, conditional: bool
+) -> float:
+    """Probability that a message entering a level-``level`` switch climbs on.
+
+    The paper approximates it by the unconditional ``P^_l``
+    (:func:`generalized_up_probability`); the exact conditional form
+    ``(c^n - c^l) / (c^n - c^(l-1))`` removes the ``c^(l-1)`` destinations
+    of the subtree the message just left (the ``conditional_up_probability``
+    variant switch).  Requires ``level >= 1`` when ``conditional``.
+    """
+    if conditional:
+        if level < 1:
+            raise ConfigurationError("conditional climb needs level >= 1")
+        c, n = children, levels
+        return (c**n - c**level) / (c**n - c ** (level - 1))
+    return generalized_up_probability(children, levels, level)
 
 
 def generalized_channel_rates(
@@ -116,8 +140,15 @@ def generalized_average_distance(children: int, levels: int) -> float:
 
 
 @dataclass(frozen=True)
-class GeneralizedSolution:
-    """Per-channel-class solution (same layout as :class:`BftSolution`)."""
+class BftSolution:
+    """Per-channel-class solution of a fat-tree model at one operating point.
+
+    Returned by :meth:`GeneralizedFatTreeModel.solve` for every ``(c, p)``
+    family, the butterfly fat-tree included.  All arrays have length
+    ``levels`` and are indexed by the *lower* level of the channel: index
+    ``l`` refers to up channel ``<l, l+1>`` and down channel ``<l+1, l>``.
+    Rates are per physical link (messages/cycle).
+    """
 
     workload: Workload
     levels: int
@@ -130,7 +161,7 @@ class GeneralizedSolution:
 
     @property
     def saturated(self) -> bool:
-        """True when any channel diverged (no steady state)."""
+        """True when any wait or service time diverged (no steady state)."""
         return not (
             np.all(np.isfinite(self.down_service))
             and np.all(np.isfinite(self.down_wait))
@@ -139,16 +170,38 @@ class GeneralizedSolution:
         )
 
     @property
+    def injection_wait(self) -> float:
+        """``W_{0,1}`` — the M/G/1 wait at the source (Eq. 24)."""
+        return float(self.up_wait[0])
+
+    @property
+    def injection_service(self) -> float:
+        """``x_{0,1}`` — the source service time, including all downstream blocking."""
+        return float(self.up_service[0])
+
+    @property
     def latency(self) -> float:
-        """Average latency via Eq. 25 (``inf`` past saturation)."""
+        """Average message latency in cycles (Eq. 25)."""
         if self.saturated:
             return math.inf
-        return (
-            float(self.up_wait[0])
-            + float(self.up_service[0])
-            + self.average_distance
-            - 1.0
-        )
+        return self.injection_wait + self.injection_service + self.average_distance - 1.0
+
+    def up_utilization(self) -> np.ndarray:
+        """Per-server utilization ``rho`` of each up channel class."""
+        return self.rate * self.up_service
+
+    def down_utilization(self) -> np.ndarray:
+        """Per-server utilization ``rho`` of each down channel class."""
+        return self.rate * self.down_service
+
+    def breakdown(self) -> dict[str, float]:
+        """Named latency components (for reports and examples)."""
+        return {
+            "injection_wait": self.injection_wait,
+            "injection_service": self.injection_service,
+            "pipeline": self.average_distance - 1.0,
+            "latency": self.latency,
+        }
 
 
 class GeneralizedFatTreeModel:
@@ -160,8 +213,9 @@ class GeneralizedFatTreeModel:
         Family parameters; the machine has ``children**levels`` PEs and the
         up channels are M/G/``parents`` queues.
     variant:
-        The same ablation switches as the 4-2 model; ``multiserver_up=False``
-        degrades every up pair/bundle to independent M/G/1 queues.
+        Approximation switches; defaults to the model exactly as published.
+        ``multiserver_up=False`` degrades every up pair/bundle to
+        independent M/G/1 queues.
     """
 
     def __init__(
@@ -184,29 +238,30 @@ class GeneralizedFatTreeModel:
         self.variant = variant or ModelVariant.paper()
         self.average_distance = generalized_average_distance(children, levels)
 
-    # --- helpers -------------------------------------------------------------------
-
     def _scv_batch(self, service: np.ndarray, flits: int) -> np.ndarray:
+        """Per-point SCV of a channel class (0 past saturation)."""
         return scv_for_mode_batch(self.variant.scv_mode, service, flits)
-
-    def _climb(self, level: int) -> float:
-        c, n = self.children, self.levels
-        if self.variant.conditional_up_probability:
-            if level < 1:
-                raise ConfigurationError("conditional climb needs level >= 1")
-            return (c**n - c**level) / (c**n - c ** (level - 1))
-        return generalized_up_probability(c, n, level)
 
     # --- solver ----------------------------------------------------------------------
 
     def solve_batch(self, injection_rates, message_flits: int) -> BatchSolution:
-        """Two-sweep resolution over a whole vector of injection rates.
+        """Resolve every channel class over a whole vector of injection rates.
 
-        The Eq. 16-24-shaped sweeps broadcast over a load axis exactly like
-        :meth:`ButterflyFatTreeModel.solve_batch
-        <repro.core.bft_model.ButterflyFatTreeModel.solve_batch>`; up
-        channels use M/G/p waits.  Column ``k`` is bit-identical to the
-        scalar solve at ``injection_rates[k]``.
+        1. **Down sweep** (Eqs. 16-19), from the ejection channels upward:
+           a down channel's service time is the downstream service time plus
+           the blocking-corrected downstream wait (one of ``c`` children);
+           waits are M/G/1 because down links have no redundancy.
+        2. **Up sweep** (Eqs. 20-24), from the root level downward: an up
+           channel's service time mixes the continue-up branch (weight
+           ``P^``) and the turn-down branch (weight ``P#``, one of ``c - 1``
+           siblings); up waits use the M/G/p model fed the bundle's total
+           rate ``p * lambda`` (the published correction to Eqs. 21/23),
+           except the injection channel ``<0,1>``, which has no redundant
+           partner and stays M/G/1 (Eq. 24).
+
+        Every stage array carries a trailing load axis, with ``inf``
+        propagating per point past saturation.  Column ``k`` is
+        bit-identical to the scalar solve at ``injection_rates[k]``.
         """
         if not isinstance(message_flits, int) or message_flits <= 0:
             raise ConfigurationError("message_flits must be a positive integer")
@@ -221,6 +276,7 @@ class GeneralizedFatTreeModel:
         up_service = np.empty_like(rate)
         up_wait = np.empty_like(rate)
 
+        # ---- down sweep: ejection channel first (Eqs. 16-19) ----
         down_service[0] = float(flits)
         down_wait[0] = mg1_waiting_time_batch(
             rate[0], down_service[0], self._scv_batch(down_service[0], flits)
@@ -236,14 +292,21 @@ class GeneralizedFatTreeModel:
                 rate[l], down_service[l], self._scv_batch(down_service[l], flits)
             )
 
+        # ---- up sweep: root level first (Eqs. 20-24) ----
         for u in range(n - 1, -1, -1):
-            p_up = self._climb(u + 1)
+            p_up = climb_probability(
+                c, n, u + 1, conditional=self.variant.conditional_up_probability
+            )
             p_down = 1.0 - p_up
             service = np.zeros(inj.shape)
             if p_up > 0.0:
                 if self.variant.multiserver_up:
+                    # One p-server channel per switch, total rate p*lambda,
+                    # targeted with the full climb probability.
                     servers, group_rate, queue_prob = p, p * rate[u + 1], p_up
                 else:
+                    # Ablation: p independent M/G/1 queues, each targeted
+                    # with 1/p of the climb probability.
                     servers, group_rate, queue_prob = 1, rate[u + 1], p_up / p
                 p_block_up = blocking_probability_batch(
                     servers, rate[u], group_rate, queue_prob, enabled=blocking
@@ -251,6 +314,9 @@ class GeneralizedFatTreeModel:
                 service = service + p_up * (
                     up_service[u + 1] + charged_wait(p_block_up, up_wait[u + 1])
                 )
+            # Turn-down branch: c - 1 sibling subtrees, one single-server
+            # down channel each (the top level has exactly this form, with
+            # p_down == 1, reproducing Eq. 20's factor 2/3 when c = 4).
             p_block_down = blocking_probability_batch(
                 1, rate[u], rate[u], p_down / (c - 1), enabled=blocking
             )
@@ -260,25 +326,50 @@ class GeneralizedFatTreeModel:
             up_service[u] = service
             scv = self._scv_batch(up_service[u], flits)
             if u == 0:
+                # Injection channel <0,1>: no redundant partner (Eq. 24).
                 up_wait[0] = mg1_waiting_time_batch(rate[0], up_service[0], scv)
             elif self.variant.multiserver_up:
                 up_wait[u] = mgm_waiting_time_batch(p * rate[u], up_service[u], p, scv)
             else:
                 up_wait[u] = mg1_waiting_time_batch(rate[u], up_service[u], scv)
 
-        return assemble_level_batch(
+        # A point is saturated when *any* channel class diverged; finite
+        # points get the Eq. 25 latency W_{0,1} + x_{0,1} + D_bar - 1.
+        finite = (
+            np.all(np.isfinite(down_service), axis=0)
+            & np.all(np.isfinite(down_wait), axis=0)
+            & np.all(np.isfinite(up_service), axis=0)
+            & np.all(np.isfinite(up_wait), axis=0)
+        )
+        if METRICS.enabled:
+            # Same counter names as the stage-graph engine, so every
+            # analytical family reports identical solve telemetry.
+            METRICS.add("solve.batch")
+            METRICS.add("solve.points", float(finite.size))
+            METRICS.add(
+                "solve.saturated_points", float(finite.size - np.count_nonzero(finite))
+            )
+        latencies = np.where(
+            finite, up_wait[0] + up_service[0] + self.average_distance - 1.0, np.inf
+        )
+        return BatchSolution(
             message_flits=flits,
             injection_rates=inj,
+            injection_service=up_service[0],
+            injection_wait=up_wait[0],
+            latencies=latencies,
             average_distance=self.average_distance,
-            rate=rate,
-            down_service=down_service,
-            down_wait=down_wait,
-            up_service=up_service,
-            up_wait=up_wait,
+            details={
+                "rate": rate,
+                "down_service": down_service,
+                "down_wait": down_wait,
+                "up_service": up_service,
+                "up_wait": up_wait,
+            },
         )
 
-    def solve(self, workload: Workload) -> GeneralizedSolution:
-        """Two-sweep resolution of all channel classes (Eqs. 16-24 shape).
+    def solve(self, workload: Workload) -> BftSolution:
+        """Resolve all channel service and waiting times at ``workload``.
 
         Thin wrapper over a one-point :meth:`solve_batch`.
         """
@@ -287,11 +378,11 @@ class GeneralizedFatTreeModel:
         batch = self.solve_batch(
             np.array([workload.injection_rate]), workload.message_flits
         )
-        return GeneralizedSolution(
+        return BftSolution(
             workload=workload,
             levels=self.levels,
             average_distance=self.average_distance,
-            **level_detail_columns(batch),
+            **{key: column[:, 0].copy() for key, column in batch.details.items()},
         )
 
     # --- public API ---------------------------------------------------------------------
@@ -303,8 +394,10 @@ class GeneralizedFatTreeModel:
     def latency_batch(self, loads, message_flits: int) -> np.ndarray:
         """Average latency for a vector of injection rates in one NumPy pass.
 
-        ``loads`` are injection rates ``lambda_0`` (messages/cycle/PE);
-        entry ``k`` equals ``latency(Workload(message_flits, loads[k]))``.
+        ``loads`` are injection rates ``lambda_0`` in messages/cycle/PE
+        (``flit_load / message_flits``, i.e. ``Workload.injection_rate``).
+        Entry ``k`` equals ``latency(Workload(message_flits, loads[k]))``
+        exactly — the scalar path is a one-point batch of this routine.
         """
         return self.solve_batch(loads, message_flits).latencies
 
@@ -313,19 +406,20 @@ class GeneralizedFatTreeModel:
         return self.solve_batch(loads, message_flits).stable_mask
 
     def latency_at_flit_load(self, flit_load: float, message_flits: int) -> float:
-        """Latency with load in flits/cycle/PE."""
+        """Latency with load given in Figure-3 units (flits/cycle/PE)."""
         return self.latency(Workload.from_flit_load(flit_load, message_flits))
 
     def zero_load_latency(self, message_flits: int) -> float:
-        """Contention-free limit ``s/f + D_bar - 1``."""
+        """The contention-free limit ``s/f + D_bar - 1``."""
         return float(message_flits) + self.average_distance - 1.0
 
     def is_stable(self, workload: Workload) -> bool:
-        """Eq. 26 stability test on the injection channel."""
-        sol = self.solve(workload)
-        if sol.saturated:
+        """True when the model admits a steady state at ``workload``."""
+        solution = self.solve(workload)
+        if solution.saturated:
             return False
-        return workload.injection_rate * float(sol.up_service[0]) < 1.0
+        # Eq. 26: the source must keep up with its own offered rate.
+        return workload.injection_rate * solution.injection_service < 1.0
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -21,10 +21,12 @@ topological sweep is exact; on cyclic graphs the same recursion is iterated
 to a fixed point (:func:`repro.util.fixedpoint.fixed_point`).
 
 :func:`bft_stage_graph` re-derives the paper's butterfly fat-tree equations
-from this general machinery; the test suite verifies it matches the
-closed-form :class:`~repro.core.bft_model.ButterflyFatTreeModel` to machine
-precision.  :func:`hypercube_stage_graph` applies the same machinery to a
-binary hypercube — the "other networks" the paper's abstract refers to.
+from this general machinery (as the ``(4, 2)`` case of
+:func:`generalized_fattree_stage_graph`); the test suite verifies it matches
+the closed-form :class:`~repro.core.bft_model.ButterflyFatTreeModel` to a
+relative 1e-12 — an independent check of the closed-form sweep.
+:func:`hypercube_stage_graph` applies the same machinery to a binary
+hypercube — the "other networks" the paper's abstract refers to.
 
 The recursion is implemented batched: because channel rates are linear in
 the injection rate, one stage graph describes a whole load sweep, and
@@ -48,12 +50,16 @@ from ..errors import ConfigurationError, ConvergenceError
 from ..obs import METRICS, trace_span
 from ..queueing.distributions import scv_for_mode_batch
 from ..queueing.mgm import mgm_waiting_time_batch
-from ..topology.properties import bft_average_distance, hypercube_average_distance
+from ..topology.properties import hypercube_average_distance
 from ..util.fixedpoint import fixed_point_batch
 from ..util.validation import check_power_of
 from .batch import as_injection_rates, charged_wait
 from .blocking import blocking_probability_batch
-from .rates import bft_channel_rates, conditional_up_probability, up_probability
+from .generalized_model import (
+    climb_probability,
+    generalized_average_distance,
+    generalized_channel_rates,
+)
 from .variants import ModelVariant
 
 __all__ = [
@@ -286,15 +292,20 @@ class ChannelGraphModel:
         self.average_distance = average_distance
         self.variant = variant or ModelVariant.paper()
         self.reference_rate = reference_rate
-        self._order = self._topological_order()
+        order = self._topological_order()
+        acyclic = len(order) == len(self.stages)
+        self._order = order if acyclic else None
+        # Stages the traversal never reaches sit on or feed into a cycle.
+        self._cycle_members = [] if acyclic else sorted(set(self.stages) - set(order))
         # The graph is immutable, so the unit-scale solution is computed at
         # most once per instance (latency() and injection_service() share it).
         self._solution: dict[str, StageSolution] | None = None
 
     # --- structure ------------------------------------------------------------
 
-    def _topological_order(self) -> list[str] | None:
-        """Reverse-dependency order (terminals first), or None if cyclic."""
+    def _topological_order(self) -> list[str]:
+        """Reverse-dependency order (terminals first) of every stage Kahn's
+        traversal reaches; stages on or feeding into a cycle are left out."""
         indeg = {name: len(s.transitions) for name, s in self.stages.items()}
         rev: dict[str, list[str]] = {name: [] for name in self.stages}
         for name, s in self.stages.items():
@@ -309,32 +320,12 @@ class ChannelGraphModel:
                 indeg[upstream] -= 1
                 if indeg[upstream] == 0:
                     ready.append(upstream)
-        return order if len(order) == len(self.stages) else None
+        return order
 
     @property
     def is_acyclic(self) -> bool:
         """True when one reverse sweep solves the graph exactly."""
         return self._order is not None
-
-    def _cycle_members(self) -> list[str]:
-        """Stage names on or feeding into a cycle (empty when acyclic)."""
-        if self._order is not None:
-            return []
-        indeg = {name: len(s.transitions) for name, s in self.stages.items()}
-        rev: dict[str, list[str]] = {name: [] for name in self.stages}
-        for name, s in self.stages.items():
-            for t in s.transitions:
-                rev[t.target].append(name)
-        ready = [n for n, d in indeg.items() if d == 0]
-        done: set[str] = set()
-        while ready:
-            n = ready.pop()
-            done.add(n)
-            for upstream in rev[n]:
-                indeg[upstream] -= 1
-                if indeg[upstream] == 0:
-                    ready.append(upstream)
-        return sorted(set(self.stages) - done)
 
     def check(
         self, *, expect_acyclic: bool | None = None, load_scale: float = 1.0
@@ -368,7 +359,7 @@ class ChannelGraphModel:
                 )
             )
         if expect_acyclic is True and not self.is_acyclic:
-            members = self._cycle_members()
+            members = self._cycle_members
             shown = ", ".join(members[:6]) + ("..." if len(members) > 6 else "")
             findings.append(
                 Finding(
@@ -611,16 +602,11 @@ class ChannelGraphModel:
         With several entry points this is the traffic-weighted mean of the
         per-source latencies ``W_e + x_e + D_e - 1``.
         """
-        solved = self.solve()
-        if any(not s.finite for s in solved.values()):
-            return math.inf
-        return (
-            sum(
-                e.weight * (solved[e.name].wait + solved[e.name].service + e.distance)
-                for e in self.entries
-            )
-            - 1.0
-        )
+        solved = {
+            name: StageBatchSolution(np.array([s.service]), np.array([s.wait]))
+            for name, s in self.solve().items()
+        }
+        return float(self._latency_from(solved)[0])
 
     def injection_service(self) -> float:
         """Traffic-weighted entry service time (drives the Eq. 26 test)."""
@@ -684,60 +670,17 @@ def bft_stage_graph(
 ) -> ChannelGraphModel:
     """Express the butterfly fat-tree in the general stage-graph form.
 
-    Stage names: ``up0 .. up{n-1}`` (``up0`` is the injection channel) and
-    ``down0 .. down{n-1}`` (``down0`` is the ejection channel), indexed by
-    the lower level exactly like :class:`BftSolution`'s arrays.  Solving
-    this graph must reproduce the closed-form model bit-for-bit — that
-    identity is part of the test suite.
+    The ``(4, 2)`` case of :func:`generalized_fattree_stage_graph`, sized by
+    ``N = 4**n``.  Stage names: ``up0 .. up{n-1}`` (``up0`` is the
+    injection channel) and ``down0 .. down{n-1}`` (``down0`` is the
+    ejection channel), indexed by the lower level exactly like
+    :class:`~repro.core.generalized_model.BftSolution`'s arrays.  Solving
+    this graph reproduces the closed-form
+    :class:`~repro.core.bft_model.ButterflyFatTreeModel` to a relative
+    1e-12 (asserted in the test suite).
     """
-    variant = variant or ModelVariant.paper()
-    n = check_power_of("num_processors", num_processors, 4)
-    rate = bft_channel_rates(n, workload.injection_rate)
-
-    def climb(level: int) -> float:
-        if variant.conditional_up_probability:
-            return conditional_up_probability(n, level)
-        return up_probability(n, level)
-
-    stages: list[Stage] = []
-    # Down channels: down0 terminal; down{l} feeds down{l-1} through one of
-    # four interchangeable children.
-    stages.append(Stage("down0", rate_per_server=float(rate[0])))
-    for l in range(1, n):
-        stages.append(
-            Stage(
-                f"down{l}",
-                rate_per_server=float(rate[l]),
-                transitions=(
-                    Transition(f"down{l-1}", 1.0, 0.25),
-                ),
-            )
-        )
-    # Up channels: two-server pairs above the injection level.
-    for u in range(n - 1, -1, -1):
-        p_up = climb(u + 1)
-        p_down = 1.0 - p_up
-        transitions: list[Transition] = []
-        if p_up > 0.0:
-            queue_prob = p_up if variant.multiserver_up else p_up / 2.0
-            transitions.append(Transition(f"up{u+1}", p_up, queue_prob))
-        transitions.append(Transition(f"down{u}", p_down, p_down / 3.0))
-        servers = 2 if (u >= 1 and variant.multiserver_up) else 1
-        stages.append(
-            Stage(
-                f"up{u}",
-                rate_per_server=float(rate[u]),
-                servers=servers,
-                transitions=tuple(transitions),
-            )
-        )
-    return ChannelGraphModel(
-        stages,
-        message_flits=workload.message_flits,
-        entry="up0",
-        average_distance=bft_average_distance(n),
-        variant=variant,
-    )
+    levels = check_power_of("num_processors", num_processors, 4)
+    return generalized_fattree_stage_graph(4, 2, levels, workload, variant)
 
 
 def generalized_fattree_stage_graph(
@@ -749,21 +692,14 @@ def generalized_fattree_stage_graph(
 ) -> ChannelGraphModel:
     """Express a generalized (c, p) fat-tree in the stage-graph form.
 
-    Generalizes :func:`bft_stage_graph`: up channels pool ``p`` links into
-    one M/G/p queue, the turn-down branch targets one of ``c - 1`` sibling
-    channels, and the down fan-out splits over ``c`` children.  Solving
-    this graph reproduces
-    :class:`~repro.core.generalized_model.GeneralizedFatTreeModel` to
-    machine precision (asserted in the test suite), which certifies that
-    the closed-form generalized sweep is an instance of the paper's
-    Section-2 recursion.
+    Down channels ``down{l}`` feed ``down{l-1}`` through one of ``c``
+    interchangeable children; up channels pool ``p`` links into one M/G/p
+    queue above the injection level, and their turn-down branch targets
+    one of ``c - 1`` sibling channels.  Solving this graph reproduces
+    :class:`~repro.core.generalized_model.GeneralizedFatTreeModel` to a
+    relative 1e-12 (asserted in the test suite), which certifies that the
+    closed-form sweep is an instance of the paper's Section-2 recursion.
     """
-    from ..core.generalized_model import (
-        generalized_average_distance,
-        generalized_channel_rates,
-        generalized_up_probability,
-    )
-
     variant = variant or ModelVariant.paper()
     if not isinstance(children, int) or children < 2:
         raise ConfigurationError(f"children must be an integer >= 2, got {children!r}")
@@ -773,11 +709,6 @@ def generalized_fattree_stage_graph(
         raise ConfigurationError(f"levels must be an integer >= 1, got {levels!r}")
     c, p, n = children, parents, levels
     rate = generalized_channel_rates(c, p, n, workload.injection_rate)
-
-    def climb(level: int) -> float:
-        if variant.conditional_up_probability:
-            return (c**n - c**level) / (c**n - c ** (level - 1))
-        return generalized_up_probability(c, n, level)
 
     stages: list[Stage] = [Stage("down0", rate_per_server=float(rate[0]))]
     for l in range(1, n):
@@ -789,7 +720,9 @@ def generalized_fattree_stage_graph(
             )
         )
     for u in range(n - 1, -1, -1):
-        p_up = climb(u + 1)
+        p_up = climb_probability(
+            c, n, u + 1, conditional=variant.conditional_up_probability
+        )
         p_down = 1.0 - p_up
         transitions: list[Transition] = []
         if p_up > 0.0:

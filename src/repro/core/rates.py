@@ -30,7 +30,6 @@ __all__ = [
     "down_probability",
     "conditional_up_probability",
     "bft_channel_rates",
-    "bft_channel_rates_batch",
     "bft_total_up_crossings",
     "bft_matrix_up_crossings",
     "bft_channel_rates_for_matrix",
@@ -87,25 +86,6 @@ def bft_channel_rates(levels: int, injection_rate: float) -> np.ndarray:
     ls = np.arange(levels)
     probs = (4.0**levels - 4.0**ls) / (4.0**levels - 1.0)
     return injection_rate * probs * 2.0**ls
-
-
-def bft_channel_rates_batch(levels: int, injection_rates: np.ndarray) -> np.ndarray:
-    """Per-link rates for a whole vector of injection rates at once (Eq. 14).
-
-    Returns shape ``(levels, K)`` for ``K`` injection rates: row ``l`` holds
-    ``lambda_{l,l+1}`` across the load grid.  Column ``k`` is elementwise
-    identical to ``bft_channel_rates(levels, injection_rates[k])`` (same
-    operation order, so batch and scalar sweeps agree bit-for-bit).
-    """
-    _check_levels(levels)
-    inj = np.asarray(injection_rates, dtype=float)
-    if inj.ndim != 1:
-        raise ConfigurationError("injection_rates must be a 1-D array")
-    if np.any(inj < 0):
-        raise ConfigurationError("injection_rates must be >= 0")
-    ls = np.arange(levels)
-    probs = (4.0**levels - 4.0**ls) / (4.0**levels - 1.0)
-    return (inj[np.newaxis, :] * probs[:, np.newaxis]) * (2.0**ls)[:, np.newaxis]
 
 
 def bft_matrix_up_crossings(levels: int, matrix: np.ndarray) -> np.ndarray:

@@ -197,6 +197,16 @@ class TestBehaviour:
         m = ButterflyFatTreeModel(64, ModelVariant.naive())
         assert "naive" in m.describe()
 
+    def test_is_the_4_2_generalized_model(self):
+        """Eqs. 16-24 are written once: the BFT only sizes the (4, 2) tree."""
+        from repro import GeneralizedFatTreeModel
+
+        m = ButterflyFatTreeModel(256)
+        assert isinstance(m, GeneralizedFatTreeModel)
+        assert (m.children, m.parents, m.levels) == (4, 2, 4)
+        own = {name for name in vars(ButterflyFatTreeModel) if not name.startswith("__")}
+        assert own == {"traffic_model", "describe"}
+
     @given(
         exponent=st.integers(1, 5),
         load=st.floats(0.001, 0.035),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,8 +130,6 @@ class TestModelReducesToPaper:
         assert gen == pytest.approx(paper, rel=1e-12)
 
     def test_rates_identical(self):
-        import numpy as np
-
         from repro.core.rates import bft_channel_rates
 
         assert np.allclose(
@@ -185,6 +184,22 @@ class TestModelFamily:
         m = GeneralizedFatTreeModel(8, 2, 2)
         assert m.solve(Workload.from_flit_load(0.5, 32)).saturated
         assert not m.solve(Workload.from_flit_load(0.01, 32)).saturated
+
+    def test_solution_record_is_shared_with_the_bft(self):
+        """Every (c, p) returns BftSolution, so breakdown() and the
+        utilizations work beyond the 4-2 tree."""
+        from repro import BftSolution
+
+        m = GeneralizedFatTreeModel(4, 3, 3)
+        sol = m.solve(Workload.from_flit_load(0.05, 16))
+        assert isinstance(sol, BftSolution)
+        parts = sol.breakdown()
+        assert parts["latency"] == m.latency(sol.workload)
+        assert parts["injection_wait"] + parts["injection_service"] + parts[
+            "pipeline"
+        ] == pytest.approx(parts["latency"])
+        assert np.all(sol.up_utilization() < 1.0)
+        assert np.all(sol.down_utilization() < 1.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
