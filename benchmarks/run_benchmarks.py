@@ -16,13 +16,27 @@ runs and diff with ``repro runs diff <id-or-latest> benchmarks/BENCH_perf.json``
 CI smoke runs; pair it with ``--output`` to keep the committed baseline
 untouched.
 
+``--check BASELINE`` gates the deterministic solver counters
+(``solve.batch``, ``solve.points``, ``fixed_point.*``, ``design.solves``)
+against an earlier report: any increase in any bench exits 1.  Wall time
+is not gated here (``perfbench/`` judges it).  A baseline must have been
+recorded in the same mode, so ``--quick`` runs check against the committed
+``benchmarks/BENCH_quick.json``:
+
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --quick \
+        --output /tmp/bench.json --check benchmarks/BENCH_quick.json
+
 The solver benches time a 64-point N=1024 load sweep solved in one
 ``latency_batch`` pass, the vectorized Eq. 26 saturation search and the
 design-space explorer's candidate throughput (candidates evaluated per
-second, cold metrics cache).  That the batch sweep equals a scalar
-``latency`` loop bit-for-bit, and that the vectorized saturation search
-needs fewer solves than the scalar bisection, is gated deterministically
-by ``tests/test_core_batch.py`` rather than timed here.  The serve/registry entries (from :mod:`bench_serve`) track the
+second, cold metrics cache).  ``stage_graph_wide_1pt`` / ``_256pt`` time
+``stability_batch`` on two wide pattern graphs (the 512-stage hotspot
+hypercube and the 816-stage transpose fat-tree) at 1 and 256 points, which
+separates the stage graph's per-stage cost from its per-point cost.  That
+the batch sweep equals a scalar ``latency`` loop bit-for-bit, and that the
+vectorized saturation search needs fewer solves than the scalar bisection,
+is gated deterministically by ``tests/test_core_batch.py`` rather than
+timed here.  The serve/registry entries (from :mod:`bench_serve`) track the
 scenario service: a cache hit versus a cold solve, and a selective
 indexed registry query versus the linear JSONL scan.
 """
@@ -44,6 +58,11 @@ from repro import ButterflyFatTree, ButterflyFatTreeModel, Workload
 from repro.core.generic_model import bft_stage_graph
 from repro.obs import METRICS
 from repro.core.throughput import saturation_injection_rate
+from repro.traffic.analytic import (
+    bft_traffic_stage_graph,
+    hypercube_traffic_stage_graph,
+)
+from repro.traffic.spec import HotspotSpec, TransposeSpec
 from repro.design import (
     DesignSpace,
     Requirements,
@@ -54,6 +73,11 @@ from repro.design import (
 )
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_perf.json"
+
+#: Counters a code change may not increase (``--check``): they count solver
+#: work, and a given bench does the same work on every run.
+DETERMINISTIC_COUNTERS = ("solve.batch", "solve.points", "design.solves")
+DETERMINISTIC_PREFIX = "fixed_point."
 
 
 @dataclass(frozen=True)
@@ -109,6 +133,25 @@ def bench_saturation_vectorized(cfg: BenchConfig) -> Callable[[], object]:
 def bench_generic_graph(cfg: BenchConfig) -> Callable[[], object]:
     wl = Workload.from_flit_load(0.02, cfg.sweep_flits)
     return lambda: bft_stage_graph(cfg.sweep_processors, wl).latency()
+
+
+def _wide_stage_graphs(points: int) -> Callable[[], object]:
+    """``stability_batch`` on the hc6 hotspot and bft256 transpose graphs."""
+    wl = Workload.from_flit_load(0.02, 16)
+    graphs = (
+        hypercube_traffic_stage_graph(6, wl, HotspotSpec(fraction=0.2)),
+        bft_traffic_stage_graph(256, wl, TransposeSpec()),
+    )
+    loads = np.linspace(0.1, 1.0, points) * wl.injection_rate
+    return lambda: [graph.stability_batch(loads) for graph in graphs]
+
+
+def bench_stage_graph_wide_1pt(cfg: BenchConfig) -> Callable[[], object]:
+    return _wide_stage_graphs(1)
+
+
+def bench_stage_graph_wide_256pt(cfg: BenchConfig) -> Callable[[], object]:
+    return _wide_stage_graphs(256)
 
 
 def bench_topology_build(cfg: BenchConfig) -> Callable[[], object]:
@@ -184,6 +227,8 @@ BENCHES: dict[str, Callable[[BenchConfig], Callable[[], object]]] = {
     "batch_sweep": bench_batch_sweep,
     "saturation_vectorized": bench_saturation_vectorized,
     "generic_graph": bench_generic_graph,
+    "stage_graph_wide_1pt": bench_stage_graph_wide_1pt,
+    "stage_graph_wide_256pt": bench_stage_graph_wide_256pt,
     "topology_build": bench_topology_build,
     "design_explore": bench_design_explore,
     "serve_cold_solve": bench_serve_cold_solve,
@@ -220,7 +265,12 @@ def collect(*, repeats: int | None = None, quick: bool = False) -> dict:
         # up as "same counters, more seconds" vs "more solves".
         with METRICS.collect() as telemetry:
             fn()
-        counters = telemetry.data.get("counters", {})
+        counters = dict(telemetry.data.get("counters", {}))
+        iterations = telemetry.data.get("histograms", {}).get(
+            "fixed_point.iterations"
+        )
+        if iterations is not None:
+            counters["fixed_point.iterations"] = iterations["total"]
         entry["counters"] = {
             key: counters[key]
             for key in sorted(counters)
@@ -264,6 +314,46 @@ def write_baseline(report: dict, output: Path) -> Path:
     return output
 
 
+def _deterministic(counters: dict) -> dict:
+    return {
+        key: value
+        for key, value in counters.items()
+        if key in DETERMINISTIC_COUNTERS or key.startswith(DETERMINISTIC_PREFIX)
+    }
+
+
+def counter_regressions(report: dict, baseline: dict) -> list[str]:
+    """One line per deterministic counter that grew over ``baseline``.
+
+    Benches missing from either report are skipped (a new bench has no
+    baseline yet); a counter missing from the baseline counts as 0.
+    """
+    problems = []
+    for name, entry in sorted(report["benches"].items()):
+        if name not in baseline["benches"]:
+            continue
+        before = _deterministic(baseline["benches"][name].get("counters", {}))
+        after = _deterministic(entry.get("counters", {}))
+        for key in sorted(after):
+            if after[key] > before.get(key, 0):
+                problems.append(
+                    f"{name}: {key} rose from {before.get(key, 0)} to {after[key]}"
+                )
+    return problems
+
+
+def load_check_baseline(path: Path, *, quick: bool) -> dict:
+    """Read a ``--check`` baseline; refuse one recorded in the other mode."""
+    baseline = json.loads(Path(path).read_text())
+    if bool(baseline.get("quick")) != quick:
+        raise ValueError(
+            f"{path} was recorded with quick={bool(baseline.get('quick'))}, "
+            f"but this run has quick={quick}; counters are only comparable "
+            "between runs of the same mode"
+        )
+    return baseline
+
+
 def record_in_registry(report: dict, registry_dir: Path | None) -> str:
     """Persist the report as a ``bench`` run record; returns the run id."""
     from repro.runs import RunRegistry, RunResult
@@ -300,7 +390,21 @@ def main(argv=None) -> int:
         action="store_true",
         help="do not record the report in the run registry",
     )
+    parser.add_argument(
+        "--check",
+        type=Path,
+        default=None,
+        metavar="BASELINE",
+        help="exit 1 if a deterministic solver counter rose over BASELINE "
+        "(a report of the same --quick mode)",
+    )
     args = parser.parse_args(argv)
+    baseline = None
+    if args.check is not None:
+        try:
+            baseline = load_check_baseline(args.check, quick=args.quick)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
     report = collect(repeats=args.repeats, quick=args.quick)
     path = write_baseline(report, args.output)
     print(f"wrote {path}")
@@ -312,6 +416,13 @@ def main(argv=None) -> int:
     for name, value in sorted(report["derived"].items()):
         unit = "x" if name.endswith("_speedup") else "/s"
         print(f"  {name:30s} {value:10.1f}{unit}")
+    if baseline is not None:
+        problems = counter_regressions(report, baseline)
+        for line in problems:
+            print(f"counter regression: {line}")
+        if problems:
+            return 1
+        print(f"counters: no increase over {args.check}")
     return 0
 
 

@@ -77,10 +77,10 @@ def blocking_probability(
 
 
 def blocking_probability_batch(
-    servers: int,
+    servers: int | np.ndarray,
     incoming_rate: np.ndarray,
     outgoing_total_rate: np.ndarray,
-    routing_probability: float,
+    routing_probability: float | np.ndarray,
     *,
     enabled: bool = True,
 ) -> np.ndarray:
@@ -89,19 +89,24 @@ def blocking_probability_batch(
     Broadcasts the two rate arrays (a load axis in the batch solvers);
     elementwise identical to :func:`blocking_probability`, including the
     zero-traffic convention ``P = 1`` and the ``[0, 1]`` clamp.
+    ``servers`` and ``routing_probability`` may be scalars or arrays that
+    broadcast against the rates — the stage-graph engine passes one column
+    entry per transition and evaluates every transition of a graph at once.
     """
+    inc = np.asarray(incoming_rate, dtype=float)
+    out = np.asarray(outgoing_total_rate, dtype=float)
     if not enabled:
-        inc = np.asarray(incoming_rate, dtype=float)
-        out = np.asarray(outgoing_total_rate, dtype=float)
         return np.ones(np.broadcast(inc, out).shape)
-    if not isinstance(servers, int) or servers < 1:
+    if isinstance(servers, np.ndarray):
+        if not np.issubdtype(servers.dtype, np.integer) or np.any(servers < 1):
+            raise ConfigurationError("servers must be positive integers")
+    elif not isinstance(servers, int) or servers < 1:
         raise ConfigurationError(f"servers must be a positive integer, got {servers!r}")
-    if not (0.0 <= routing_probability <= 1.0):
+    prob = np.asarray(routing_probability, dtype=float)
+    if not np.all((prob >= 0.0) & (prob <= 1.0)):
         raise ConfigurationError(
             f"routing_probability must be in [0, 1], got {routing_probability!r}"
         )
-    inc = np.asarray(incoming_rate, dtype=float)
-    out = np.asarray(outgoing_total_rate, dtype=float)
     if np.any(inc < 0) or np.any(out < 0):
         raise ConfigurationError("rates must be non-negative")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -16,9 +16,10 @@ channels.  This module implements that general recursion over an explicit
   used by the blocking correction (these differ when a class contains
   several distinct queues, e.g. the four children of a switch).
 
-On an acyclic stage graph (fat-trees, e-cube hypercubes) a single reverse
-topological sweep is exact; on cyclic graphs the same recursion is iterated
-to a fixed point (:func:`repro.util.fixedpoint.fixed_point`).
+On an acyclic stage graph (fat-trees, e-cube hypercubes) one pass from the
+ejection channels back to the injection channels is exact; on cyclic graphs
+the same recursion is iterated to a fixed point
+(:func:`repro.util.fixedpoint.fixed_point_batch`).
 
 :func:`bft_stage_graph` re-derives the paper's butterfly fat-tree equations
 from this general machinery (as the ``(4, 2)`` case of
@@ -28,19 +29,32 @@ relative 1e-12 — an independent check of the closed-form sweep.
 :func:`hypercube_stage_graph` applies the same machinery to a binary
 hypercube — the "other networks" the paper's abstract refers to.
 
-The recursion is implemented batched: because channel rates are linear in
-the injection rate, one stage graph describes a whole load sweep, and
-``solve_batch`` / ``latency_batch`` evaluate every scale factor in one
-NumPy pass (cyclic graphs iterate a column-batched fixed point that
-freezes saturated points at ``inf`` while the rest converge).  The scalar
-``solve()`` is a cached one-point batch — the graph is immutable, so
-``latency()`` and ``injection_service()`` share a single resolution.
+The recursion is batched and compiled.  Channel rates are linear in the
+injection rate, so one stage graph describes a whole load sweep, and
+``solve_batch`` / ``latency_batch`` evaluate every scale factor at once.
+On first use a graph is compiled into arrays (it is immutable, so this
+happens once per instance): per-stage rates and server counts, a table of
+the nonzero transitions, and the stages grouped into topological levels — a
+stage's level is its longest path to an ejection channel, so a level only
+depends on the levels below it.  A solve then evaluates the Eq. 10 blocking
+probabilities of every transition in one array operation (they depend only
+on rates), and resolves each level with one gather of the downstream
+service and wait, the Eq. 9 charged waits, and one M/G/m evaluation per
+distinct server count.  Each stage's Eq. 11 terms are summed in the stage's
+declared transition order, slot by slot, which keeps every answer
+bit-identical to summing them one transition at a time.  A cyclic graph is
+a single level of all stages (in sorted-name order) that one vector
+fixed-point step updates; saturated points freeze at ``inf`` while the rest
+converge.  The scalar ``solve()`` is a cached one-point batch — ``latency()``
+and ``injection_service()`` share a single resolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -206,6 +220,63 @@ class StageBatchSolution:
     def finite_mask(self) -> np.ndarray:
         """True where both moments are finite (steady state per point)."""
         return np.isfinite(self.service) & np.isfinite(self.wait)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One topological level of a compiled stage graph.
+
+    ``rows`` and ``transitions`` slice the compiled stage and transition
+    tables.  ``slots[j, i]`` is the level-local index of stage ``i``'s
+    ``j``-th transition; stages with fewer transitions are padded with
+    ``len(transitions)``, the index of an all-zero term.  ``base`` is each
+    stage's service before its Eq. 11 terms (the message length on ejection
+    stages, 0 elsewhere), and ``server_groups`` pairs every distinct server
+    count of the level with its rows.
+    """
+
+    rows: slice
+    transitions: slice
+    slots: np.ndarray
+    base: np.ndarray
+    server_groups: tuple[tuple[int, slice | np.ndarray], ...]
+
+
+@dataclass(frozen=True)
+class _CompiledGraph:
+    """Array form of a stage graph (see :meth:`ChannelGraphModel._compiled`).
+
+    Stages are rows, ordered level by level (sorted by name for a cyclic
+    graph); transitions are the nonzero-probability edges, grouped by source
+    row in declared order.  ``output`` lists ``(name, row)`` in the key
+    order of :meth:`ChannelGraphModel.solve_batch`'s mapping.
+    """
+
+    names: tuple[str, ...]
+    rate_per_server: np.ndarray
+    servers: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    target_servers: np.ndarray
+    probability: np.ndarray
+    queue_probability: np.ndarray
+    levels: tuple[_Level, ...]
+    output: tuple[tuple[str, int], ...]
+
+
+def _server_groups(
+    rows: np.ndarray, servers: np.ndarray
+) -> tuple[tuple[int, slice | np.ndarray], ...]:
+    """``(server count, rows)`` per distinct count among ``rows``; the rows
+    are a slice when they are contiguous."""
+    groups = []
+    for m in np.unique(servers[rows]):
+        members = rows[servers[rows] == m]
+        if members[-1] - members[0] + 1 == members.size:
+            groups.append((int(m), slice(members[0], members[-1] + 1)))
+        else:
+            groups.append((int(m), members))
+    return tuple(groups)
 
 
 class ChannelGraphModel:
@@ -396,38 +467,117 @@ class ChannelGraphModel:
 
     # --- solving ----------------------------------------------------------------
 
-    def _wait_batch(self, stage: Stage, service: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """Per-point M/G/m wait of one stage (``inf`` where diverged)."""
-        scv = scv_for_mode_batch(self.variant.scv_mode, service, self.message_flits)
-        return mgm_waiting_time_batch(stage.servers * rate, service, stage.servers, scv)
+    @cached_property
+    def _compiled(self) -> _CompiledGraph:
+        """The graph as arrays, built on first solve (the graph is immutable)."""
+        if self._order is not None:
+            depth: dict[str, int] = {}
+            for name in self._order:  # every target precedes its sources
+                depth[name] = 1 + max(
+                    (depth[t.target] for t in self.stages[name].transitions),
+                    default=-1,
+                )
+            names = sorted(
+                self._order, key=lambda n: (depth[n], self.stages[n].servers)
+            )
+            level_of = [depth[n] for n in names]
+        else:
+            names = sorted(self.stages)
+            level_of = [0] * len(names)
+        row = {name: i for i, name in enumerate(names)}
+        stages = [self.stages[name] for name in names]
+        live = [
+            [t for t in stage.transitions if t.probability != 0.0]
+            for stage in stages
+        ]
+        servers = np.array([stage.servers for stage in stages], dtype=np.intp)
+        target = np.array(
+            [row[t.target] for edges in live for t in edges], dtype=np.intp
+        )
+        levels = []
+        first_transition = 0
+        for _, members in groupby(range(len(names)), key=level_of.__getitem__):
+            rows = np.array(list(members), dtype=np.intp)
+            degree = [len(live[i]) for i in rows]
+            slots = np.full((max(degree), rows.size), sum(degree), dtype=np.intp)
+            for i, (start, d) in enumerate(zip(accumulate(degree, initial=0), degree)):
+                slots[:d, i] = np.arange(start, start + d)
+            levels.append(
+                _Level(
+                    rows=slice(rows[0], rows[-1] + 1),
+                    transitions=slice(
+                        first_transition, first_transition + sum(degree)
+                    ),
+                    slots=slots,
+                    base=np.array(
+                        [
+                            float(self.message_flits) if stages[i].is_terminal else 0.0
+                            for i in rows
+                        ]
+                    )[:, None],
+                    server_groups=_server_groups(rows, servers),
+                )
+            )
+            first_transition += sum(degree)
+        return _CompiledGraph(
+            names=tuple(names),
+            rate_per_server=np.array([stage.rate_per_server for stage in stages]),
+            servers=servers,
+            source=np.array(
+                [i for i, edges in enumerate(live) for _ in edges], dtype=np.intp
+            ),
+            target=target,
+            target_servers=servers[target][:, None],
+            probability=np.array(
+                [t.probability for edges in live for t in edges]
+            ).reshape(-1, 1),
+            queue_probability=np.array(
+                [t.effective_queue_probability for edges in live for t in edges]
+            ).reshape(-1, 1),
+            levels=tuple(levels),
+            output=tuple(
+                (name, row[name])
+                for name in (names if self._order is None else self._order)
+            ),
+        )
 
-    def _service_of_batch(
+    def _level_service(
         self,
-        stage: Stage,
-        solved: dict[str, StageBatchSolution],
-        rates: dict[str, np.ndarray],
-        n_points: int,
+        level: _Level,
+        service: np.ndarray,
+        wait: np.ndarray,
+        p_block: np.ndarray,
     ) -> np.ndarray:
-        """Eq. 11 service-time mixture of one stage, over the load axis."""
-        if stage.is_terminal:
-            return np.full(n_points, float(self.message_flits))
-        total = np.zeros(n_points)
-        for t in stage.transitions:
-            if t.probability == 0.0:
-                continue
-            down = solved[t.target]
-            target = self.stages[t.target]
-            p_block = blocking_probability_batch(
-                target.servers,
-                rates[stage.name],
-                target.servers * rates[t.target],
-                t.effective_queue_probability,
-                enabled=self.variant.blocking_correction,
-            )
-            total = total + t.probability * (
-                down.service + charged_wait(p_block, down.wait)
-            )
+        """Eq. 11 service-time mixture of one level's stages, over the load axis.
+
+        The terms are added slot by slot from 0, which is each stage's
+        declared transition order; padded slots add an exact zero.
+        """
+        graph = self._compiled
+        edges = level.transitions
+        targets = graph.target[edges]
+        terms = np.zeros((edges.stop - edges.start + 1, service.shape[1]))
+        terms[:-1] = graph.probability[edges] * (
+            service[targets] + charged_wait(p_block[edges], wait[targets])
+        )
+        total = level.base
+        for slot in level.slots:
+            total = total + terms[slot]
         return total
+
+    def _level_wait(
+        self,
+        level: _Level,
+        service: np.ndarray,
+        total_rate: np.ndarray,
+        wait: np.ndarray,
+    ) -> None:
+        """Per-point M/G/m waits of one level's stages into ``wait`` (``inf``
+        where diverged), one evaluation per distinct server count."""
+        for servers, rows in level.server_groups:
+            x = service[rows]
+            scv = scv_for_mode_batch(self.variant.scv_mode, x, self.message_flits)
+            wait[rows] = mgm_waiting_time_batch(total_rate[rows], x, servers, scv)
 
     def solve_batch(self, rate_scales) -> dict[str, StageBatchSolution]:
         """Resolve every stage over a vector of traffic scale factors.
@@ -435,63 +585,68 @@ class ChannelGraphModel:
         Channel rates are linear in the injection rate, so one stage graph
         built at a reference workload describes a whole load sweep: entry
         ``k`` of the result scales every stage's rate by ``rate_scales[k]``.
-        Acyclic graphs are solved in one reverse sweep with all per-stage
-        arrays broadcast over the load axis; cyclic graphs iterate Eq. 11
-        with :func:`~repro.util.fixedpoint.fixed_point_batch`, freezing
-        saturated points at ``inf`` while the rest converge.
+        The Eq. 10 blocking probabilities of all transitions are evaluated
+        once per call.  An acyclic graph is then resolved level by level
+        from the ejection channels up, each level in one array pass with
+        its Eq. 11 sums in declared transition order; a cyclic graph
+        iterates one all-stage step with
+        :func:`~repro.util.fixedpoint.fixed_point_batch`, freezing saturated
+        points at ``inf`` while the rest converge.  The mapping lists the
+        stages terminals-first on acyclic graphs and by name on cyclic ones.
         """
         scales = as_injection_rates(rate_scales)
         if METRICS.enabled:
             METRICS.add("solve.batch")
             METRICS.add("solve.points", float(scales.size))
-        rates = {
-            name: stage.rate_per_server * scales
-            for name, stage in self.stages.items()
-        }
+        graph = self._compiled
+        rate = graph.rate_per_server[:, None] * scales
+        total_rate = graph.servers[:, None] * rate
         with trace_span(
             "solve/stage_graph", stages=len(self.stages), points=int(scales.size)
         ):
+            p_block = blocking_probability_batch(
+                graph.target_servers,
+                rate[graph.source],
+                total_rate[graph.target],
+                graph.queue_probability,
+                enabled=self.variant.blocking_correction,
+            )
             if self._order is not None:
-                solved: dict[str, StageBatchSolution] = {}
-                for name in self._order:
-                    stage = self.stages[name]
-                    service = self._service_of_batch(stage, solved, rates, scales.size)
-                    solved[name] = StageBatchSolution(
-                        service, self._wait_batch(stage, service, rates[name])
+                service = np.empty_like(rate)
+                wait = np.empty_like(rate)
+                for level in graph.levels:
+                    service[level.rows] = self._level_service(
+                        level, service, wait, p_block
                     )
+                    self._level_wait(level, service, total_rate, wait)
             else:
-                solved = self._solve_cyclic_batch(rates, scales.size)
+                service, wait = self._solve_cyclic_batch(total_rate, p_block)
         if METRICS.enabled:
             # Same rule as the closed-form engines: a point is saturated
             # when any stage diverged.
-            finite = self._finite_mask(solved)
+            finite = np.all(np.isfinite(service) & np.isfinite(wait), axis=0)
             METRICS.add(
                 "solve.saturated_points",
                 float(finite.size - np.count_nonzero(finite)),
             )
-        return solved
+        return {
+            name: StageBatchSolution(service[row], wait[row])
+            for name, row in graph.output
+        }
 
     def _solve_cyclic_batch(
-        self, rates: dict[str, np.ndarray], n_points: int
-    ) -> dict[str, StageBatchSolution]:
-        names = sorted(self.stages)
-        idx = {n: i for i, n in enumerate(names)}
+        self, total_rate: np.ndarray, p_block: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        graph = self._compiled
+        (level,) = graph.levels
 
         def step(x: np.ndarray) -> np.ndarray:
-            solved = {
-                n: StageBatchSolution(
-                    x[idx[n]], self._wait_batch(self.stages[n], x[idx[n]], rates[n])
-                )
-                for n in names
-            }
-            out = np.empty_like(x)
-            for n in names:
-                out[idx[n]] = self._service_of_batch(
-                    self.stages[n], solved, rates, n_points
-                )
-            return out
+            wait = np.empty_like(x)
+            self._level_wait(level, x, total_rate, wait)
+            return self._level_service(level, x, wait, p_block)
 
-        x0 = np.full((len(names), n_points), float(self.message_flits))
+        n_points = total_rate.shape[1]
+        x0 = np.full((len(graph.names), n_points), float(self.message_flits))
         # Near saturation the iteration's contraction rate approaches 1
         # (critical slowing down), so a strict 1e-12 tolerance can exhaust
         # any budget while the answer is already correct to far better than
@@ -499,45 +654,35 @@ class ChannelGraphModel:
         # An exhausted budget is therefore accepted when the residual is
         # below this floor, and diagnosed as a ConvergenceError otherwise.
         residual_floor = 1e-6
-        try:
-            with trace_span("solve/fixed_point", points=n_points):
-                result = fixed_point_batch(
-                    step, x0, tol=1e-12, max_iter=20_000, damping=0.5
-                )
-        except ConvergenceError as exc:
-            if exc.residual <= residual_floor:
-                METRICS.add("fixed_point.exhausted_accepted")
-                with trace_span("solve/fixed_point", points=n_points, retry=True):
-                    result = fixed_point_batch(
-                        step,
-                        x0,
-                        tol=1e-12,
-                        max_iter=20_000,
-                        damping=0.5,
-                        allow_divergence=True,
-                    )
-            else:
-                channel = (
-                    names[exc.worst_component]
-                    if exc.worst_component is not None
-                    else None
-                )
-                raise ConvergenceError(
-                    f"cyclic channel-graph solve did not converge"
-                    f"{f' (worst channel {channel!r})' if channel else ''}: {exc}",
-                    iterations=exc.iterations,
-                    residual=exc.residual,
-                    worst_component=exc.worst_component,
-                    worst_channel=channel,
-                ) from exc
-        solved = {}
-        for n in names:
-            stage = self.stages[n]
-            service = result.value[idx[n]]
-            solved[n] = StageBatchSolution(
-                service, self._wait_batch(stage, service, rates[n])
+        with trace_span("solve/fixed_point", points=n_points):
+            result = fixed_point_batch(
+                step,
+                x0,
+                tol=1e-12,
+                max_iter=20_000,
+                damping=0.5,
+                allow_divergence=True,
             )
-        return solved
+        if not result.converged:
+            METRICS.add("fixed_point.exhausted")
+            if result.residual > residual_floor:
+                worst = result.worst_component
+                channel = graph.names[worst] if worst is not None else None
+                raise ConvergenceError(
+                    "cyclic channel-graph solve did not converge"
+                    f"{f' (worst channel {channel!r})' if channel else ''}: "
+                    f"batched fixed point not reached after {result.iterations} "
+                    f"iterations (residual {result.residual:.3e})",
+                    iterations=result.iterations,
+                    residual=result.residual,
+                    worst_component=worst,
+                    worst_channel=channel,
+                )
+            METRICS.add("fixed_point.exhausted_accepted")
+        service = result.value
+        wait = np.empty_like(service)
+        self._level_wait(level, service, total_rate, wait)
+        return service, wait
 
     def solve(self) -> dict[str, StageSolution]:
         """Resolve every stage's (service, wait) pair at the built workload.
@@ -580,20 +725,25 @@ class ChannelGraphModel:
         """Per-point steady state over *all* stages (matching the closed-form
         models, whose solutions count as saturated when any channel class
         diverged)."""
-        masks = [s.finite_mask for s in solved.values()]
-        out = masks[0].copy()
-        for m in masks[1:]:
-            out &= m
-        return out
+        service = np.array([s.service for s in solved.values()])
+        wait = np.array([s.wait for s in solved.values()])
+        return np.all(np.isfinite(service) & np.isfinite(wait), axis=0)
 
     def _latency_from(self, solved: dict[str, StageBatchSolution]) -> np.ndarray:
         """Traffic-weighted Eq. 25 over the entry points (``inf`` past saturation)."""
         finite = self._finite_mask(solved)
-        total = np.zeros_like(finite, dtype=float)
+        weight = np.array([[e.weight] for e in self.entries])
+        distance = np.array([[e.distance] for e in self.entries])
         with np.errstate(invalid="ignore"):
-            for e in self.entries:
-                stage = solved[e.name]
-                total = total + e.weight * (stage.wait + stage.service + e.distance)
+            terms = weight * (
+                np.array([solved[e.name].wait for e in self.entries])
+                + np.array([solved[e.name].service for e in self.entries])
+                + distance
+            )
+        # Summed entry by entry from 0, in entry order.
+        total = np.zeros_like(finite, dtype=float)
+        for term in terms:
+            total = total + term
         return np.where(finite, total - 1.0, np.inf)
 
     def latency(self) -> float:
@@ -641,13 +791,15 @@ class ChannelGraphModel:
         rates = as_injection_rates(loads)
         reference = self._reference_rate()
         solved = self.solve_batch(rates / reference)
+        service = np.array([solved[e.name].service for e in self.entries])
+        rate_per_server = np.array(
+            [[self.stages[e.name].rate_per_server] for e in self.entries]
+        )
+        entry_rate = rate_per_server * rates / reference
+        with np.errstate(invalid="ignore"):
+            keeps_up = entry_rate * service < 1.0
         ok = self._finite_mask(solved)
-        for e in self.entries:
-            stage = solved[e.name]
-            entry_rate = self.stages[e.name].rate_per_server * rates / reference
-            with np.errstate(invalid="ignore"):
-                keeps_up = entry_rate * stage.service < 1.0
-            ok &= np.where(np.isfinite(stage.service), keeps_up, False)
+        ok &= np.all(np.where(np.isfinite(service), keeps_up, False), axis=0)
         return ok
 
     def is_stable(self, workload: Workload) -> bool:

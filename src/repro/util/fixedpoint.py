@@ -47,12 +47,17 @@ class FixedPointResult:
         True when the residual dropped below the tolerance.  (The solver
         raises on non-convergence unless ``allow_divergence`` is set, in
         which case this flag is False and ``value`` holds the last iterate.)
+    worst_component:
+        Index of the state component with the largest final update (for
+        the batched solver, the largest over the still-active points), or
+        None when no update was measured.
     """
 
     value: np.ndarray
     iterations: int
     residual: float
     converged: bool
+    worst_component: int | None = None
 
 
 def fixed_point(
@@ -103,10 +108,14 @@ def fixed_point(
         x = new
         if residual <= tol:
             _record_solve(it, residual)
-            return FixedPointResult(value=x, iterations=it, residual=residual, converged=True)
+            return FixedPointResult(
+                x, iterations=it, residual=residual, converged=True, worst_component=worst
+            )
     if allow_divergence:
         _record_solve(max_iter, residual)
-        return FixedPointResult(value=x, iterations=max_iter, residual=residual, converged=False)
+        return FixedPointResult(
+            x, iterations=max_iter, residual=residual, converged=False, worst_component=worst
+        )
     METRICS.add("fixed_point.exhausted")
     raise ConvergenceError(
         f"fixed point not reached after {max_iter} iterations "
@@ -165,10 +174,14 @@ def fixed_point_batch(
         x[:, active] = new
         if residual <= tol:
             _record_solve(it, residual)
-            return FixedPointResult(value=x, iterations=it, residual=residual, converged=True)
+            return FixedPointResult(
+                x, iterations=it, residual=residual, converged=True, worst_component=worst
+            )
     if allow_divergence:
         _record_solve(max_iter, residual)
-        return FixedPointResult(value=x, iterations=max_iter, residual=residual, converged=False)
+        return FixedPointResult(
+            x, iterations=max_iter, residual=residual, converged=False, worst_component=worst
+        )
     METRICS.add("fixed_point.exhausted")
     raise ConvergenceError(
         f"batched fixed point not reached after {max_iter} iterations "

@@ -34,6 +34,8 @@ from repro.core.generic_model import (
     bft_stage_graph,
     hypercube_stage_graph,
 )
+from repro.errors import ConvergenceError
+from repro.obs import METRICS
 from repro.traffic import make_spec
 from repro.util.fixedpoint import fixed_point_batch
 
@@ -222,6 +224,51 @@ class TestCyclicGraphFixedPoint:
         assert np.array_equal(np.isfinite(batch), finite)
         rel = np.abs(batch[finite] - scalar[finite]) / scalar[finite]
         assert np.max(rel) <= 1e-7  # fixed points agree to iteration tolerance
+
+    @staticmethod
+    def _solve_with_budget(monkeypatch, max_iter: int):
+        """Solve the ring with a small fixed-point budget; returns the number
+        of fixed-point runs, the telemetry and the raised error (or None)."""
+        import repro.core.generic_model as generic_model
+
+        calls = {"n": 0}
+        original = generic_model.fixed_point_batch
+
+        def budgeted(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **{**kwargs, "max_iter": max_iter})
+
+        monkeypatch.setattr(generic_model, "fixed_point_batch", budgeted)
+        error = None
+        with METRICS.collect() as telemetry:
+            try:
+                TestCyclicGraphFixedPoint._ring_graph(0.002).solve_batch(
+                    np.array([1.0, 2.0])
+                )
+            except ConvergenceError as exc:
+                error = exc
+        return calls["n"], telemetry.data["counters"], error
+
+    def test_exhausted_budget_below_residual_floor_is_accepted_in_one_run(
+        self, monkeypatch
+    ):
+        runs, counters, error = self._solve_with_budget(monkeypatch, 40)
+        assert error is None
+        assert runs == 1
+        assert counters["fixed_point.exhausted"] == 1
+        assert counters["fixed_point.exhausted_accepted"] == 1
+
+    def test_exhausted_budget_above_residual_floor_names_the_channel(
+        self, monkeypatch
+    ):
+        runs, counters, error = self._solve_with_budget(monkeypatch, 5)
+        assert runs == 1
+        assert counters["fixed_point.exhausted"] == 1
+        assert "fixed_point.exhausted_accepted" not in counters
+        assert error is not None
+        assert error.worst_channel in {"a", "b"}
+        assert f"worst channel {error.worst_channel!r}" in str(error)
+        assert error.iterations == 5 and error.residual > 1e-6
 
 
 class TestFixedPointBatch:

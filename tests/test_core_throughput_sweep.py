@@ -20,7 +20,7 @@ from repro.core import (
     saturation_flit_load,
     saturation_injection_rate,
 )
-from repro.core.blocking import blocking_probability
+from repro.core.blocking import blocking_probability, blocking_probability_batch
 
 
 class TestBlockingProbability:
@@ -50,6 +50,36 @@ class TestBlockingProbability:
             blocking_probability(1, -0.1, 0.1, 0.5)
         with pytest.raises(ConfigurationError):
             blocking_probability(1, 0.1, 0.1, 1.5)
+
+    def test_batch_broadcasts_per_transition_columns(self):
+        # One row per transition: servers and R_{i|j} as columns.
+        servers = np.array([[1], [2], [4]])
+        routing = np.array([[0.25], [0.5], [1.0]])
+        incoming = np.array([[0.01, 0.0], [0.01, 0.02], [0.5, 0.1]])
+        outgoing = np.array([[0.04, 0.0], [0.05, 0.06], [0.5, 0.4]])
+        got = blocking_probability_batch(servers, incoming, outgoing, routing)
+        for t in range(3):
+            for k in range(2):
+                assert got[t, k] == blocking_probability(
+                    int(servers[t, 0]),
+                    float(incoming[t, k]),
+                    float(outgoing[t, k]),
+                    float(routing[t, 0]),
+                )
+
+    @pytest.mark.parametrize(
+        "servers,routing",
+        [
+            (np.array([[1], [0]]), np.array([[0.5], [0.5]])),
+            (np.array([[1.0], [2.0]]), np.array([[0.5], [0.5]])),
+            (np.array([[1], [2]]), np.array([[0.5], [1.5]])),
+            (np.array([[1], [2]]), np.array([[0.5], [np.nan]])),
+        ],
+    )
+    def test_batch_rejects_bad_columns(self, servers, routing):
+        rates = np.full((2, 3), 0.01)
+        with pytest.raises(ConfigurationError):
+            blocking_probability_batch(servers, rates, rates, routing)
 
 
 class TestSaturation:
