@@ -58,16 +58,13 @@ from repro import ButterflyFatTree, ButterflyFatTreeModel, Workload
 from repro.core.generic_model import bft_stage_graph
 from repro.obs import METRICS
 from repro.core.throughput import saturation_injection_rate
-from repro.traffic.analytic import (
-    bft_traffic_stage_graph,
-    hypercube_traffic_stage_graph,
-)
 from repro.traffic.spec import HotspotSpec, TransposeSpec
 from repro.design import (
     DesignSpace,
     Requirements,
     bft_space,
     clear_metrics_cache,
+    design_family,
     explore,
     hypercube_space,
 )
@@ -139,8 +136,10 @@ def _wide_stage_graphs(points: int) -> Callable[[], object]:
     """``stability_batch`` on the hc6 hotspot and bft256 transpose graphs."""
     wl = Workload.from_flit_load(0.02, 16)
     graphs = (
-        hypercube_traffic_stage_graph(6, wl, HotspotSpec(fraction=0.2)),
-        bft_traffic_stage_graph(256, wl, TransposeSpec()),
+        design_family("hypercube").evaluator(
+            {"dimension": 6}, HotspotSpec(fraction=0.2), 16
+        ),
+        design_family("bft").evaluator({"processors": 256}, TransposeSpec(), 16),
     )
     loads = np.linspace(0.1, 1.0, points) * wl.injection_rate
     return lambda: [graph.stability_batch(loads) for graph in graphs]

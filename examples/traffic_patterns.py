@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro import (
     BitReversalSpec,
     ButterflyFatTree,
@@ -43,6 +41,7 @@ from repro import (
     Workload,
     simulate,
 )
+from repro.traffic import bft_channel_flows, stage_graph_from_flows
 from repro.util.tables import format_table
 
 
@@ -64,11 +63,10 @@ def main() -> None:
         BitReversalSpec(),
         HotspotSpec(fraction=0.2, target=0),
     ):
-        # The same spec drives both sides: the analytical per-channel model...
-        pattern_model = model.traffic_model(spec, flits)
-        predicted = float(
-            pattern_model.latency_batch(np.array([wl.injection_rate]), flits)[0]
-        )
+        # The same spec drives both sides: the analytical per-channel model
+        # (the Section 2 stage graph of the traced flows, solved at wl)...
+        pattern_model = stage_graph_from_flows(bft_channel_flows(topo, spec), wl)
+        predicted = pattern_model.latency()
         # ...and the simulator's traffic source.
         traffic = PoissonTraffic(n, wl, seed=99, spec=spec)
         cfg = SimConfig(

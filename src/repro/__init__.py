@@ -118,13 +118,11 @@ from .traffic import (
     TransposeSpec,
     UniformSpec,
     available_patterns,
-    bft_traffic_stage_graph,
-    hypercube_traffic_stage_graph,
     make_spec,
     pattern_descriptions,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "SimConfig",
@@ -190,8 +188,6 @@ __all__ = [
     "TransposeSpec",
     "UniformSpec",
     "available_patterns",
-    "bft_traffic_stage_graph",
-    "hypercube_traffic_stage_graph",
     "make_spec",
     "pattern_descriptions",
     # simulators

@@ -36,7 +36,6 @@ import numpy as np
 from ..errors import ConfigurationError, PartitionedNetworkError
 from ..faults.spec import link_ref
 from ..topology.base import DOWN
-from ..traffic import flows as _flows
 from .findings import ERROR, Finding, render_findings
 
 __all__ = [
@@ -273,28 +272,14 @@ def _entry_findings(flows) -> list[Finding]:
 def scenario_flows(scenario):
     """Trace the channel flows a scenario's analytical backends would use.
 
-    Mirrors :mod:`repro.design.families` (without its caches, so callers
-    may corrupt the result freely in tests): faulted scenarios propagate
-    the degraded spec over the masked topology; nominal scenarios use the
-    family's native tracer.
+    :meth:`~repro.design.families.DesignFamily.flows` of the scenario's
+    family: uncached, so callers may corrupt the result freely in tests.
     """
     from ..design.families import design_family
-    from ..faults import FaultedTopology, degraded_spec
-    from ..traffic.spec import UniformSpec
 
-    fam = design_family(scenario.topology)
-    params = scenario.family_params()
-    spec = scenario.spec()
-    faults = scenario.fault_spec()
-    if faults is not None:
-        topo = FaultedTopology(fam.topology(params), faults)
-        return _flows.masked_channel_flows(topo, degraded_spec(topo, spec))
-    topo = fam.topology(params)
-    if scenario.topology == "bft":
-        return _flows.bft_channel_flows(topo, spec or UniformSpec())
-    if scenario.topology == "hypercube":
-        return _flows.single_path_flows(topo, spec or UniformSpec())
-    return _flows.masked_channel_flows(topo, spec)
+    return design_family(scenario.topology).flows(
+        scenario.family_params(), scenario.spec(), scenario.fault_spec()
+    )
 
 
 def analyze_scenario(scenario) -> AnalysisReport:

@@ -789,14 +789,17 @@ def _cmd_runs(args):
 
 
 def _cmd_model(args):
-    import numpy as np
+    from .design import design_family
+    from .design.evaluate import point_latency
 
     model = ButterflyFatTreeModel(args.processors)
     wl = Workload.from_flit_load(args.load, args.flits)
     spec = _spec_from_args(args)
     if spec is not None:
-        tm = model.traffic_model(spec, args.flits)
-        latency = float(tm.latency_batch(np.array([wl.injection_rate]), args.flits)[0])
+        pattern_model = design_family("bft").evaluator(
+            {"processors": args.processors}, spec, args.flits
+        )
+        latency = point_latency(pattern_model, wl)
         rows = [("latency", latency), ("saturated", not (latency < float("inf")))]
         title = f"pattern={spec.name}, load={args.load} fl/cyc/PE"
     else:

@@ -48,7 +48,6 @@ from .sweep import (
     LatencyCurve,
     latency_sweep,
     load_grid_to_saturation,
-    resolve_traffic_model,
 )
 from .throughput import (
     SaturationResult,
@@ -88,7 +87,6 @@ __all__ = [
     "LatencyCurve",
     "latency_sweep",
     "load_grid_to_saturation",
-    "resolve_traffic_model",
     "SaturationResult",
     "saturation_flit_load",
     "saturation_injection_rate",

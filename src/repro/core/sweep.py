@@ -24,14 +24,13 @@ import numpy as np
 from ..config import Workload
 from ..errors import ConfigurationError
 from ..util.parallel import parallel_map
-from .throughput import resolve_traffic_model, saturation_injection_rate
+from .throughput import saturation_injection_rate
 
 __all__ = [
     "LatencyCurve",
     "figure3_grid",
     "latency_sweep",
     "load_grid_to_saturation",
-    "resolve_traffic_model",
 ]
 
 
@@ -113,7 +112,6 @@ def latency_sweep(
     label: str = "model",
     processes: int = 1,
     chunksize: int = 1,
-    spec=None,
 ) -> LatencyCurve:
     """Evaluate a latency curve over a load grid.
 
@@ -124,23 +122,12 @@ def latency_sweep(
     in one vectorized pass (bit-identical to the per-point loop);
     everything else is evaluated point by point, fanned out over
     ``processes`` workers in chunks of ``chunksize`` when requested.
-
-    ``spec`` (a :class:`~repro.traffic.spec.TrafficSpec`) redirects a
-    batch-capable model through its pattern-aware solver — the whole
-    non-uniform sweep still runs as one batched evaluation.
     """
     loads = np.asarray(list(flit_loads), dtype=float)
     if loads.ndim != 1 or loads.size == 0:
         raise ConfigurationError("flit_loads must be a non-empty 1-D sequence")
     if np.any(loads < 0):
         raise ConfigurationError("flit_loads must be non-negative")
-    if spec is not None:
-        target = _batch_evaluator(latency_fn)
-        if target is None:
-            raise ConfigurationError(
-                "spec= requires a batch-capable model, not a per-point callable"
-            )
-        latency_fn = resolve_traffic_model(target, spec, message_flits)
     model = _batch_evaluator(latency_fn)
     if model is not None:
         # One batched solve; flit_load -> injection rate exactly as
@@ -189,20 +176,16 @@ def load_grid_to_saturation(
     *,
     n_points: int = 10,
     fraction: float = 0.98,
-    spec=None,
 ) -> np.ndarray:
     """Build a :func:`figure3_grid` of ``n_points`` loads up to ``fraction``
     of the model's saturation load.
 
     This mirrors how Figure 3's x-range terminates just past the knee of the
-    curves.  A ``spec`` anchors the grid to the *pattern-aware* saturation
-    point instead of the uniform one.
+    curves.
     """
     if n_points < 2:
         raise ConfigurationError("n_points must be >= 2")
     if not (0.0 < fraction < 1.0):
         raise ConfigurationError("fraction must be in (0, 1)")
-    if spec is not None:
-        model = resolve_traffic_model(model, spec, message_flits)
     sat = saturation_injection_rate(model, message_flits).flit_load
     return figure3_grid(sat, n_points, fraction)

@@ -37,30 +37,9 @@ from ..errors import ConfigurationError, SaturatedError
 
 __all__ = [
     "SaturationResult",
-    "resolve_traffic_model",
     "saturation_injection_rate",
     "saturation_flit_load",
 ]
-
-
-def resolve_traffic_model(model, spec, message_flits: int):
-    """Build the pattern-aware solver of ``model`` for ``spec``.
-
-    ``model`` must expose ``traffic_model(spec, message_flits)`` (the
-    butterfly fat-tree model does); the result is a batch-capable channel
-    graph whose sweeps and saturation searches describe the non-uniform
-    workload.  Shared by :func:`saturation_injection_rate`,
-    :func:`~repro.core.sweep.latency_sweep` and
-    :func:`~repro.core.sweep.load_grid_to_saturation`.
-    """
-    builder = getattr(model, "traffic_model", None)
-    if builder is None:
-        raise ConfigurationError(
-            "spec= requires a model exposing traffic_model(spec, message_flits) "
-            f"(got {type(model).__name__}); build the pattern stage graph "
-            "explicitly for other models"
-        )
-    return builder(spec, message_flits)
 
 
 class _StabilityModel(Protocol):
@@ -100,7 +79,6 @@ def saturation_injection_rate(
     rel_tol: float = 1e-6,
     max_doublings: int = 60,
     stable: Callable[[Workload], bool] | None = None,
-    spec=None,
 ) -> SaturationResult:
     """Find the saturation injection rate of ``model`` (bracket + narrow).
 
@@ -124,21 +102,9 @@ def saturation_injection_rate(
         search with a simulator in the empirical-saturation harness);
         implies the scalar path (``stable=model.is_stable`` runs the
         paper's one-solve-per-probe procedure on any model).
-    spec:
-        Optional :class:`~repro.traffic.spec.TrafficSpec`: search the
-        saturation point of the *pattern-aware* solver built by
-        ``model.traffic_model(spec, message_flits)`` instead of the
-        uniform model.  The pattern graphs expose ``stability_batch``, so
-        the search stays vectorized.
     """
     if not isinstance(message_flits, int) or message_flits <= 0:
         raise ConfigurationError("message_flits must be a positive integer")
-    if spec is not None:
-        if stable is not None:
-            raise ConfigurationError(
-                "spec= cannot be combined with a custom stable predicate"
-            )
-        model = resolve_traffic_model(model, spec, message_flits)
     if rel_tol <= 0:
         raise ConfigurationError("rel_tol must be positive")
     lo = initial_rate if initial_rate is not None else 1.0 / (100.0 * message_flits)

@@ -2,9 +2,9 @@
 
 Each candidate costs two model-side quantities:
 
-* the mean latency at the requirement's demand point — one
-  ``latency_batch`` evaluation for batch-capable evaluators (every fat-tree
-  and stage-graph model), scalar ``latency`` for the Dally torus baseline;
+* the mean latency at the requirement's demand point — a one-point
+  ``latency_batch`` evaluation (:func:`point_latency`, which the Scenario
+  backends share);
 * the saturation flit load — the vectorized Eq. 26 bracket
   (:func:`~repro.core.throughput.saturation_injection_rate`, a handful of
   ``stability_batch`` solves) where available, the closed-form capacity
@@ -123,12 +123,10 @@ def metrics_cache_size() -> int:
     return len(_LATENCY_CACHE)
 
 
-def _latency_at(model, flit_load: float, message_flits: int) -> float:
-    """Mean latency at one operating point through the batch engine."""
-    if hasattr(model, "latency_batch"):
-        rates = np.array([flit_load / message_flits])
-        return float(model.latency_batch(rates, message_flits)[0])
-    return model.latency(Workload.from_flit_load(flit_load, message_flits))
+def point_latency(model, workload: Workload) -> float:
+    """Mean latency at one operating point: a one-element batched solve."""
+    rates = np.array([workload.injection_rate])
+    return float(model.latency_batch(rates, workload.message_flits)[0])
 
 
 def _saturation_flit_load(model, message_flits: int) -> float:
@@ -168,7 +166,9 @@ def compute_metrics(
     )
     flits = candidate.message_flits
     return CandidateMetrics(
-        latency=_latency_at(model, demand_flit_load, flits),
+        latency=point_latency(
+            model, Workload.from_flit_load(demand_flit_load, flits)
+        ),
         zero_load_latency=(
             float(flits) + model.average_distance - 1.0
             if need_saturation
@@ -191,7 +191,7 @@ def faulted_metrics_for(
     """Degraded-mode metrics of one candidate under a fault specification.
 
     Evaluates the candidate's fault-masked stage graph
-    (:meth:`~repro.design.families.DesignFamily.faulted_evaluator`) at the
+    (:meth:`~repro.design.families.DesignFamily.evaluator` with ``faults``) at the
     demand point; returns ``None`` when ``faults`` partition the network.
     Memoized like the nominal path — per ``(model, faults)`` for the
     demand-independent half and per demand for the latency — including the
@@ -217,8 +217,11 @@ def faulted_metrics_for(
     METRICS.add("design.fault_cache.misses")
     fam = design_family(candidate.family)
     try:
-        model = fam.faulted_evaluator(
-            candidate.params_dict, candidate.spec, candidate.message_flits, faults
+        model = fam.evaluator(
+            candidate.params_dict,
+            candidate.spec,
+            candidate.message_flits,
+            faults=faults,
         )
     except PartitionedNetworkError:
         _FAULT_SATURATION_CACHE[mk] = None
@@ -230,7 +233,9 @@ def faulted_metrics_for(
             _saturation_flit_load(model, flits),
         )
     if lat_key not in _FAULT_LATENCY_CACHE:
-        _FAULT_LATENCY_CACHE[lat_key] = _latency_at(model, demand_flit_load, flits)
+        _FAULT_LATENCY_CACHE[lat_key] = point_latency(
+            model, Workload.from_flit_load(demand_flit_load, flits)
+        )
     zero_load, saturation = _FAULT_SATURATION_CACHE[mk]
     return CandidateMetrics(
         latency=_FAULT_LATENCY_CACHE[lat_key],

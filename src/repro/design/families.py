@@ -9,24 +9,31 @@ about one network family:
 * how much hardware a member uses (``hardware`` — switch / link / port
   counts, read off the constructed topology so the cost models and the
   simulators always agree on what was built);
-* how to build the *evaluator* — the analytical model object whose
-  ``latency_batch`` / ``stability_batch`` (or scalar fallbacks) the batch
-  engine consumes — for a given traffic spec and message length, plus the
-  matching *baseline* evaluator (the family's prior-art variant), which
-  the Scenario facade's ``baseline`` backend resolves through the same
-  registry.
+* which analytical model answers a question about a member — one
+  resolver, :meth:`DesignFamily.evaluator`, for every (traffic pattern,
+  fault set, paper-or-prior-art) combination the Scenario facade's
+  backends and the explorer ask.
+
+Each family declares only three things: its uniform fault-free model
+built for a given variant (:meth:`DesignFamily.uniform_model`), its
+prior-art variant (:meth:`DesignFamily.prior_art_variant`) and its
+fault-free flow tracer (:attr:`DesignFamily.flow_tracer`).  Every other
+question — a non-uniform pattern, any fault set — is answered by the
+Section 2 stage graph of the traced flows
+(:meth:`DesignFamily.flows` then
+:func:`~repro.traffic.analytic.stage_graph_from_flows`).
 
 Four families ship by default:
 
 * ``bft`` — the paper's 4-2 butterfly fat-tree
-  (:class:`~repro.core.bft_model.ButterflyFatTreeModel`), pattern-aware via
-  ``traffic_model``;
+  (:class:`~repro.core.bft_model.ButterflyFatTreeModel`), pattern-aware
+  through :func:`~repro.traffic.flows.bft_channel_flows`;
 * ``generalized-fattree`` — the (children, parents) generalization
   (:class:`~repro.core.generalized_model.GeneralizedFatTreeModel`),
   uniform traffic only;
-* ``hypercube`` — the Section 2 general model on a binary e-cube hypercube,
-  pattern-aware via
-  :func:`~repro.traffic.analytic.hypercube_traffic_stage_graph`;
+* ``hypercube`` — the Section 2 general model on a binary e-cube hypercube
+  (:func:`~repro.core.generic_model.hypercube_stage_graph`), pattern-aware
+  through :func:`~repro.traffic.flows.single_path_flows`;
 * ``kary-ncube`` — the Dally torus baseline
   (:class:`~repro.baselines.dally.DallyKaryNCubeModel`), uniform traffic
   only.
@@ -86,16 +93,22 @@ def _hardware_of(topology) -> Hardware:
 class DesignFamily:
     """One searchable topology family (see module docstring).
 
-    Subclasses set :attr:`name`, :attr:`param_names` and
-    :attr:`supports_patterns`, and implement the four hooks below.
-    ``params`` is always a plain ``{name: int}`` mapping covering exactly
-    ``param_names``.
+    Subclasses set :attr:`name`, :attr:`param_names`,
+    :attr:`supports_patterns` and :attr:`flow_tracer`, and implement
+    :meth:`num_processors`, :meth:`topology`, :meth:`uniform_model` and
+    :meth:`sizes_to_params` (plus :meth:`prior_art_variant` when the prior
+    art is not the naive variant).  ``params`` is always a plain
+    ``{name: int}`` mapping covering exactly ``param_names``.
     """
 
     name: str = "base"
     param_names: tuple[str, ...] = ()
     #: Whether non-uniform TrafficSpecs have a pattern-aware evaluator.
     supports_patterns: bool = False
+    #: The fault-free tracer in :mod:`repro.traffic.flows`, by name: it is
+    #: looked up when flows are traced, so wrappers installed on that
+    #: module see every call.
+    flow_tracer: str = "masked_channel_flows"
 
     def validate(self, params: Mapping[str, int]) -> None:
         """Raise :class:`ConfigurationError` for an invalid assignment."""
@@ -121,71 +134,89 @@ class DesignFamily:
         """Construct the concrete topology object (hardware accounting)."""
         raise NotImplementedError
 
-    def evaluator(self, params: Mapping[str, int], spec, message_flits: int):
-        """Build the analytical evaluator for ``spec`` at ``message_flits``.
+    def uniform_model(self, params: Mapping[str, int], message_flits: int, variant):
+        """The family's fault-free uniform-traffic model under ``variant``.
 
-        For ``uniform`` specs this is the family's closed-form (or
-        uniform stage-graph) model; for other patterns it is the
-        pattern-aware channel graph.  Raises when the family has no
-        pattern-aware form and a non-uniform spec is requested (the
-        expansion layer normally filters these earlier).
+        ``variant`` is None for the paper's model, otherwise the
+        :meth:`prior_art_variant`.
         """
         raise NotImplementedError
 
-    def baseline_evaluator(self, params: Mapping[str, int], spec, message_flits: int):
-        """Build the family's *prior-art* evaluator (the ``baseline`` backend).
+    def prior_art_variant(self):
+        """The model variant of this family's prior art (the ``baseline``
+        backend): the naive variant unless a family overrides it; None
+        when the family's own model *is* its prior art."""
+        from ..core.variants import ModelVariant
 
-        Same contract as :meth:`evaluator`, with the paper's novelties
-        switched off in whatever form the family's prior art took: the
-        naive variant for the fat-trees (independent M/G/1 links, no
-        blocking correction), the Draper–Ghosh-style recursion for the
-        hypercube, and Dally's analysis for the torus — which *is* this
-        family's model, so its baseline coincides with it.
+        return ModelVariant.naive()
+
+    def flows(self, params: Mapping[str, int], spec=None, faults=None):
+        """Trace the per-channel flows of ``spec`` (None = uniform).
+
+        Fault-free flows come from the family's :attr:`flow_tracer`; under
+        a :class:`~repro.faults.FaultSpec` the fault-masked topology is
+        traced with :func:`~repro.traffic.flows.masked_channel_flows`
+        under the :func:`~repro.faults.degraded_spec` workload.  Uncached
+        (callers may mutate the result); :meth:`evaluator` memoizes it.
+        Raises :class:`~repro.errors.PartitionedNetworkError` when the
+        faults disconnect surviving traffic.
         """
-        raise NotImplementedError
+        from ..traffic import flows as traffic_flows
+        from ..traffic.spec import UniformSpec
 
-    def faulted_evaluator(
+        self.validate(params)
+        if not self.supports_patterns:
+            self._reject_pattern(spec)
+        topology = self.topology(params)
+        if faults is None:
+            tracer = getattr(traffic_flows, self.flow_tracer)
+            return tracer(topology, spec if spec is not None else UniformSpec())
+        from ..faults import FaultedTopology, degraded_spec
+
+        topology = FaultedTopology(topology, faults)
+        return traffic_flows.masked_channel_flows(
+            topology, degraded_spec(topology, spec)
+        )
+
+    def evaluator(
         self,
         params: Mapping[str, int],
         spec,
         message_flits: int,
-        faults,
         *,
+        faults=None,
         baseline: bool = False,
     ):
-        """Degraded-mode analytical evaluator under a fault specification.
+        """The analytical model answering one question about a member.
 
-        Every family routes through the same machinery: the fault-masked
-        topology's exact per-channel flows
-        (:func:`~repro.traffic.flows.masked_channel_flows` under the
-        :func:`~repro.faults.degraded_spec` workload) feed the Section 2
-        channel-graph model, with the family's prior-art variant switched
-        in when ``baseline`` is true.  ``faults`` must be a hashable
-        :class:`~repro.faults.FaultSpec` (flow propagation is memoized per
-        assignment/spec/faults).  Raises
+        Uniform fault-free traffic gets :meth:`uniform_model`; any other
+        pattern or any fault set gets the Section 2 stage graph of the
+        traced :meth:`flows`, built at the reference rate
+        ``1 / (100 F)``.  ``baseline`` switches in the
+        :meth:`prior_art_variant`.  Flows are memoized per
+        (assignment, spec) and, separately, per (assignment, spec,
+        faults), so ``spec`` and ``faults`` must be hashable.  Raises
+        :class:`ConfigurationError` for a pattern on a family without a
+        pattern-aware model, and
         :class:`~repro.errors.PartitionedNetworkError` when the faults
         disconnect surviving traffic.
         """
         from ..traffic.analytic import stage_graph_from_flows
 
         self.validate(params)
-        if not self.supports_patterns:
-            self._reject_pattern(spec)
+        variant = self.prior_art_variant() if baseline else None
         if spec is not None and spec.name == "uniform":
-            spec = None  # canonical cache key; degraded_spec defaults to uniform
-        flows = _cached_masked_flows(
-            self.name, tuple(sorted(params.items())), spec, faults
-        )
-        variant = self._baseline_variant() if baseline else None
+            spec = None  # canonical cache key; the tracers default to uniform
+        if spec is None and faults is None:
+            return self.uniform_model(params, message_flits, variant)
+        key = (self.name, tuple(sorted(params.items())), spec)
+        if faults is None:
+            flows = _cached_flows(*key)
+        else:
+            flows = _cached_masked_flows(*key, faults)
         return stage_graph_from_flows(
             flows, _reference_workload(message_flits), variant
         )
-
-    def _baseline_variant(self):
-        """The model variant of this family's prior art (None = paper)."""
-        from ..core.variants import ModelVariant
-
-        return ModelVariant.naive()
 
     def hardware(self, params: Mapping[str, int]) -> Hardware:
         """Switch/link/port inventory (memoized per assignment)."""
@@ -218,48 +249,37 @@ def _cached_hardware(family: str, params_items: tuple[tuple[str, int], ...]) -> 
 
 def _reference_workload(message_flits: int) -> Workload:
     """The (arbitrary) rate stage graphs are built at; rates scale linearly."""
+    if not isinstance(message_flits, int) or message_flits <= 0:
+        raise ConfigurationError("message_flits must be a positive integer")
     return Workload(message_flits, 1.0 / (100.0 * message_flits))
 
 
 # Flow propagation (spec -> per-channel rates) is the dominant cost of a
 # pattern-aware evaluation and is independent of message length, so the
 # explorer caches ChannelFlows per (size, spec) — the message-length axis of
-# a design space then reuses one propagation.  TrafficSpec instances are
-# frozen dataclasses, hence usable as cache keys.
+# a design space then reuses one propagation.  Fault-masked flows live in a
+# cache of their own, so a stream of fault sets never evicts the fault-free
+# entries.  TrafficSpec and FaultSpec instances are frozen dataclasses,
+# hence usable as cache keys.
 
 
-@lru_cache(maxsize=64)
-def _cached_bft_flows(num_processors: int, spec):
-    from ..topology.butterfly_fattree import ButterflyFatTree
-    from ..traffic.flows import bft_channel_flows
-
-    return bft_channel_flows(ButterflyFatTree(num_processors), spec)
-
-
-@lru_cache(maxsize=64)
-def _cached_hypercube_flows(dimension: int, spec):
-    from ..topology.hypercube import Hypercube
-    from ..traffic.flows import single_path_flows
-
-    return single_path_flows(Hypercube(dimension), spec)
+@lru_cache(maxsize=128)
+def _cached_flows(family: str, params_items: tuple[tuple[str, int], ...], spec):
+    return design_family(family).flows(dict(params_items), spec)
 
 
 @lru_cache(maxsize=64)
 def _cached_masked_flows(
     family: str, params_items: tuple[tuple[str, int], ...], spec, faults
 ):
-    from ..faults import FaultedTopology, degraded_spec
-    from ..traffic.flows import masked_channel_flows
-
-    fam = design_family(family)
-    topo = FaultedTopology(fam.topology(dict(params_items)), faults)
-    return masked_channel_flows(topo, degraded_spec(topo, spec))
+    return design_family(family).flows(dict(params_items), spec, faults)
 
 
 class _BftFamily(DesignFamily):
     name = "bft"
     param_names = ("processors",)
     supports_patterns = True
+    flow_tracer = "bft_channel_flows"
 
     def validate(self, params: Mapping[str, int]) -> None:
         super().validate(params)
@@ -274,26 +294,10 @@ class _BftFamily(DesignFamily):
 
         return ButterflyFatTree(params["processors"])
 
-    def evaluator(self, params: Mapping[str, int], spec, message_flits: int):
+    def uniform_model(self, params: Mapping[str, int], message_flits: int, variant):
         from ..core.bft_model import ButterflyFatTreeModel
-        from ..traffic.analytic import stage_graph_from_flows
 
-        self.validate(params)
-        if spec is None or spec.name == "uniform":
-            return ButterflyFatTreeModel(params["processors"])
-        flows = _cached_bft_flows(params["processors"], spec)
-        return stage_graph_from_flows(flows, _reference_workload(message_flits))
-
-    def baseline_evaluator(self, params: Mapping[str, int], spec, message_flits: int):
-        from ..baselines import naive_bft_model
-
-        self.validate(params)
-        model = naive_bft_model(params["processors"])
-        if spec is None or spec.name == "uniform":
-            return model
-        # traffic_model shares the naive variant's switches, so the
-        # pattern-aware baseline stays the prior-art approximation.
-        return model.traffic_model(spec, message_flits)
+        return ButterflyFatTreeModel(params["processors"], variant)
 
     def sizes_to_params(self, num_processors: int) -> dict[str, int] | None:
         try:
@@ -328,26 +332,11 @@ class _GeneralizedFatTreeFamily(DesignFamily):
             params["children"], params["parents"], params["levels"]
         )
 
-    def evaluator(self, params: Mapping[str, int], spec, message_flits: int):
+    def uniform_model(self, params: Mapping[str, int], message_flits: int, variant):
         from ..core.generalized_model import GeneralizedFatTreeModel
 
-        self.validate(params)
-        self._reject_pattern(spec)
         return GeneralizedFatTreeModel(
-            params["children"], params["parents"], params["levels"]
-        )
-
-    def baseline_evaluator(self, params: Mapping[str, int], spec, message_flits: int):
-        from ..core.generalized_model import GeneralizedFatTreeModel
-        from ..core.variants import ModelVariant
-
-        self.validate(params)
-        self._reject_pattern(spec)
-        return GeneralizedFatTreeModel(
-            params["children"],
-            params["parents"],
-            params["levels"],
-            ModelVariant.naive(),
+            params["children"], params["parents"], params["levels"], variant
         )
 
     def sizes_to_params(self, num_processors: int) -> dict[str, int] | None:
@@ -360,6 +349,7 @@ class _HypercubeFamily(DesignFamily):
     name = "hypercube"
     param_names = ("dimension",)
     supports_patterns = True
+    flow_tracer = "single_path_flows"
 
     def validate(self, params: Mapping[str, int]) -> None:
         super().validate(params)
@@ -375,31 +365,14 @@ class _HypercubeFamily(DesignFamily):
 
         return Hypercube(params["dimension"])
 
-    def evaluator(self, params: Mapping[str, int], spec, message_flits: int):
+    def uniform_model(self, params: Mapping[str, int], message_flits: int, variant):
         from ..core.generic_model import hypercube_stage_graph
-        from ..traffic.analytic import stage_graph_from_flows
 
-        self.validate(params)
-        wl = _reference_workload(message_flits)
-        if spec is None or spec.name == "uniform":
-            return hypercube_stage_graph(params["dimension"], wl)
-        flows = _cached_hypercube_flows(params["dimension"], spec)
-        return stage_graph_from_flows(flows, wl)
+        return hypercube_stage_graph(
+            params["dimension"], _reference_workload(message_flits), variant
+        )
 
-    def baseline_evaluator(self, params: Mapping[str, int], spec, message_flits: int):
-        from ..baselines.draper_ghosh import draper_ghosh_variant
-        from ..core.generic_model import hypercube_stage_graph
-        from ..traffic.analytic import stage_graph_from_flows
-
-        self.validate(params)
-        wl = _reference_workload(message_flits)
-        variant = draper_ghosh_variant(corrected=False)
-        if spec is None or spec.name == "uniform":
-            return hypercube_stage_graph(params["dimension"], wl, variant)
-        flows = _cached_hypercube_flows(params["dimension"], spec)
-        return stage_graph_from_flows(flows, wl, variant)
-
-    def _baseline_variant(self):
+    def prior_art_variant(self):
         from ..baselines.draper_ghosh import draper_ghosh_variant
 
         return draper_ghosh_variant(corrected=False)
@@ -432,24 +405,17 @@ class _KaryNCubeFamily(DesignFamily):
 
         return KaryNCube(params["radix"], params["dimensions"])
 
-    def evaluator(self, params: Mapping[str, int], spec, message_flits: int):
+    def uniform_model(self, params: Mapping[str, int], message_flits: int, variant):
         from ..baselines.dally import DallyKaryNCubeModel
 
-        self.validate(params)
-        self._reject_pattern(spec)
         return DallyKaryNCubeModel(params["radix"], params["dimensions"])
 
-    def baseline_evaluator(self, params: Mapping[str, int], spec, message_flits: int):
+    def prior_art_variant(self):
         # Dally's analysis *is* the prior art for the torus: the family's
         # reference model and its baseline coincide (the repo carries no
         # improved Section-2 instantiation on rings yet — they need the
         # cyclic fixed point plus virtual-channel modeling, see ROADMAP).
-        return self.evaluator(params, spec, message_flits)
-
-    def _baseline_variant(self):
-        # Under faults both backends go through the Section 2 channel graph;
-        # prior art and reference coincide for this family, so the degraded
-        # baseline keeps the paper variant too.
+        # Under faults both backends therefore keep the paper variant.
         return None
 
     def sizes_to_params(self, num_processors: int) -> dict[str, int] | None:
@@ -461,7 +427,13 @@ _REGISTRY: dict[str, DesignFamily] = {}
 
 
 def register_family(family: DesignFamily) -> DesignFamily:
-    """Add a family to the registry (keyed by ``family.name``)."""
+    """Add a family to the registry (keyed by ``family.name``).
+
+    Every evaluator a family resolves must expose
+    ``latency_batch(loads, message_flits)`` and
+    ``stability_batch(loads, message_flits)``: the backends, the explorer
+    and the Eq. 26 search answer through the batch engine only.
+    """
     _REGISTRY[family.name] = family
     return family
 

@@ -4,8 +4,10 @@ The paper validates its model under uniform traffic only (assumption 1).
 This experiment extends the validation to non-uniform destination patterns:
 for each registered scenario it
 
-1. builds the pattern-aware per-channel solver
-   (:meth:`~repro.core.bft_model.ButterflyFatTreeModel.traffic_model`),
+1. builds the pattern-aware per-channel solver — the stage graph of the
+   traced flows (:func:`~repro.traffic.analytic.stage_graph_from_flows`),
+   for the uniform pattern too, so every row checks the per-channel
+   construction itself,
 2. saturation-searches it (batched Eq. 26) for the pattern's own
    saturation load,
 3. probes an operating point at half that load, and
@@ -23,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import SimConfig, Workload
-from ..core.bft_model import ButterflyFatTreeModel
 from ..core.throughput import saturation_injection_rate
+from ..design.evaluate import point_latency
 from ..simulation.traffic import PoissonTraffic
 from ..simulation.wormhole_sim import EventDrivenWormholeSimulator
 from ..topology.butterfly_fattree import ButterflyFatTree
+from ..traffic.analytic import stage_graph_from_flows
+from ..traffic.flows import bft_channel_flows
 from ..traffic.spec import (
     BitReversalSpec,
     HotspotSpec,
@@ -126,15 +128,13 @@ def run_traffic_scenarios(
     m = experiment_mode or mode()
     scenarios = scenarios if scenarios is not None else default_scenarios()
     topo = ButterflyFatTree(num_processors)
-    model = ButterflyFatTreeModel(num_processors)
+    reference = Workload(message_flits, 1.0 / (100.0 * message_flits))
     rows = []
     for spec in scenarios:
-        tm = model.traffic_model(spec, message_flits)
+        tm = stage_graph_from_flows(bft_channel_flows(topo, spec), reference)
         sat = saturation_injection_rate(tm, message_flits)
         wl = Workload(message_flits, probe_fraction * sat.injection_rate)
-        predicted = float(
-            tm.latency_batch(np.array([wl.injection_rate]), message_flits)[0]
-        )
+        predicted = point_latency(tm, wl)
         traffic = PoissonTraffic(num_processors, wl, seed=seed, spec=spec)
         cfg = SimConfig(
             warmup_cycles=m.warmup_cycles,

@@ -25,10 +25,11 @@ alongside for crosschecks.
 
 Topology families resolve through the design-family registry
 (:mod:`repro.design.families`): ``scenario.family_params()`` names one
-assignment, and the family supplies the analytical evaluator, the
-prior-art baseline evaluator, and the simulator topology.  Every
-evaluator answers through its ``latency_batch``: the operating point is a
-one-element batch and the curve one batched solve over its grid.
+assignment, and the family supplies the analytical evaluator (one
+resolver for every pattern, fault set and variant) and the simulator
+topology.  Every evaluator answers through its ``latency_batch``: the
+operating point is a one-element batch and the curve one batched solve
+over its grid.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..config import Workload
 from ..core.sweep import LatencyCurve, figure3_grid, latency_sweep
 from ..core.throughput import SaturationResult, saturation_injection_rate
+from ..design.evaluate import point_latency
 from ..design.families import DesignFamily, design_family
 from ..errors import ConfigurationError
 from ..faults import FaultedTopology, degraded_spec
@@ -86,28 +87,19 @@ def _family_for(scenario: Scenario) -> tuple[DesignFamily, dict[str, int]]:
 def _evaluator_for(scenario: Scenario) -> Any:
     """The object whose (batch) engine answers this scenario.
 
-    Resolved through the family registry: uniform traffic keeps the
-    family's closed-form (or uniform stage-graph) model; any other
-    pattern builds the pattern-aware per-channel stage graph once and
-    reuses it for the point, the saturation search and the sweep.  The
-    ``baseline`` backend resolves the family's prior-art variant instead.
+    Resolved once through the family registry
+    (:meth:`~repro.design.families.DesignFamily.evaluator`) and reused for
+    the point, the saturation search and the sweep; the ``baseline``
+    backend resolves the family's prior-art variant.
     """
     fam, params = _family_for(scenario)
-    spec = scenario.spec()
-    faults = scenario.fault_spec()
-    if faults is not None:
-        # Degraded mode: all families and both variants route through the
-        # masked stage graph of the fault-wrapped topology.
-        return fam.faulted_evaluator(
-            params,
-            spec,
-            scenario.message_flits,
-            faults,
-            baseline=scenario.backend == "baseline",
-        )
-    if scenario.backend == "baseline":
-        return fam.baseline_evaluator(params, spec, scenario.message_flits)
-    return fam.evaluator(params, spec, scenario.message_flits)
+    return fam.evaluator(
+        params,
+        scenario.spec(),
+        scenario.message_flits,
+        faults=scenario.fault_spec(),
+        baseline=scenario.backend == "baseline",
+    )
 
 
 def _fault_provenance(scenario: Scenario, topo: Any = None) -> dict | None:
@@ -135,17 +127,6 @@ def _variant_label(evaluator: Any) -> str:
     """The model-variant label recorded with analytical metrics."""
     variant = getattr(evaluator, "variant", None)
     return getattr(variant, "label", type(evaluator).__name__)
-
-
-def _point_latency(evaluator: Any, workload: Workload) -> float:
-    """Latency at one operating point: a one-element batched solve."""
-    return float(
-        np.asarray(
-            evaluator.latency_batch(
-                np.array([workload.injection_rate]), workload.message_flits
-            )
-        )[0]
-    )
 
 
 def _grid_for(scenario: Scenario, saturation_flit_load: float) -> np.ndarray | None:
@@ -201,7 +182,7 @@ def _run_analytical(scenario: Scenario) -> tuple[dict, dict]:
 
     t0 = time.perf_counter()
     with trace_span("run/evaluate", points=scenario.sweep_points):
-        point = _point_latency(evaluator, scenario.workload())
+        point = point_latency(evaluator, scenario.workload())
         grid = _grid_for(scenario, sat.flit_load)
         curve = None
         if grid is not None:
@@ -245,18 +226,15 @@ def _run_simulate(scenario: Scenario) -> tuple[dict, dict]:
         topo = fam.topology(params)
         faults = scenario.fault_spec()
         fault_info = None
+        sim_spec = spec
         if faults is not None:
             topo = FaultedTopology(topo, faults)
             fault_info = _fault_provenance(scenario, topo)
             sim_spec = degraded_spec(topo, spec)
-            # The degraded model rides along as the crosscheck prediction.
-            evaluator = fam.faulted_evaluator(
-                params, spec, scenario.message_flits, faults
-            )
-        else:
-            sim_spec = spec
-            # The family's reference model rides along as the crosscheck prediction.
-            evaluator = fam.evaluator(params, spec, scenario.message_flits)
+        # The family's (degraded) model rides along as the crosscheck prediction.
+        evaluator = fam.evaluator(
+            params, spec, scenario.message_flits, faults=faults
+        )
     timings["build_s"] = time.perf_counter() - t0
 
     workload = scenario.workload()
@@ -282,7 +260,7 @@ def _run_simulate(scenario: Scenario) -> tuple[dict, dict]:
         )
     timings["simulate_s"] = time.perf_counter() - t0
 
-    prediction = _point_latency(evaluator, workload)
+    prediction = point_latency(evaluator, workload)
     metrics = {
         "engine": scenario.simulator,
         "family": {"name": fam.name, "params": dict(params)},

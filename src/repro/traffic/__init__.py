@@ -4,16 +4,13 @@
 :class:`TrafficSpec` describes a per-source destination distribution once,
 and both layers consume it — the simulators sample from it
 (``PoissonTraffic(..., spec=...)``) while the analytical side propagates it
-into per-channel rates and a solvable Section 2 stage graph
-(:func:`bft_traffic_stage_graph` / :func:`hypercube_traffic_stage_graph`,
-or ``ButterflyFatTreeModel.traffic_model``).
+into per-channel rates (:func:`bft_channel_flows`, :func:`single_path_flows`)
+and a solvable Section 2 stage graph (:func:`stage_graph_from_flows`).
+``repro.design.design_family(name).evaluator(params, spec, flits)``
+resolves both steps for a registered topology family.
 """
 
-from .analytic import (
-    bft_traffic_stage_graph,
-    hypercube_traffic_stage_graph,
-    stage_graph_from_flows,
-)
+from .analytic import stage_graph_from_flows
 from .flows import ChannelFlows, bft_channel_flows, single_path_flows
 from .spec import (
     BitComplementSpec,
@@ -46,8 +43,6 @@ __all__ = [
     "UniformSpec",
     "available_patterns",
     "bft_channel_flows",
-    "bft_traffic_stage_graph",
-    "hypercube_traffic_stage_graph",
     "make_spec",
     "pattern_descriptions",
     "register_spec",

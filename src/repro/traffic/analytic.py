@@ -3,8 +3,9 @@
 Converts the exact per-channel flow accounting of
 :mod:`repro.traffic.flows` into a
 :class:`~repro.core.generic_model.ChannelGraphModel`, making non-uniform
-destination patterns solvable by the same Eqs. 3-11 recursion (and the same
-batch engine) that reproduces the paper's uniform results:
+destination patterns (and fault-masked topologies) solvable by the same
+Eqs. 3-11 recursion (and the same batch engine) that reproduces the
+paper's uniform results:
 
 * every physical channel becomes a stage (the fat-tree's redundant up-link
   pairs pool into one two-server stage, exactly like the closed-form
@@ -24,6 +25,10 @@ branching, so the paper's unconditional-``P^_l`` approximation has no
 per-channel analogue and the ``conditional_up_probability`` switch is
 ignored here.  All other variant switches (multi-server pooling, blocking
 correction, SCV mode) apply unchanged.
+
+:func:`stage_graph_from_flows` is the only builder: the design-family
+resolver (:meth:`repro.design.families.DesignFamily.evaluator`) feeds it
+the family's traced flows for every pattern and fault set.
 """
 
 from __future__ import annotations
@@ -35,17 +40,9 @@ from ..core.generic_model import ChannelGraphModel, EntryPoint, Stage, Transitio
 from ..core.variants import ModelVariant
 from ..errors import ConfigurationError
 from ..topology.base import DOWN, UP
-from ..topology.butterfly_fattree import ButterflyFatTree
-from ..topology.hypercube import Hypercube
-from ..util.validation import check_power_of
-from .flows import ChannelFlows, bft_channel_flows, single_path_flows
-from .spec import TrafficSpec
+from .flows import ChannelFlows
 
-__all__ = [
-    "stage_graph_from_flows",
-    "bft_traffic_stage_graph",
-    "hypercube_traffic_stage_graph",
-]
+__all__ = ["stage_graph_from_flows"]
 
 
 def _stage_name(topology, members: list[int]) -> str:
@@ -154,37 +151,3 @@ def stage_graph_from_flows(
         variant=variant,
         reference_rate=lam0,
     )
-
-
-def bft_traffic_stage_graph(
-    num_processors: int,
-    workload: Workload,
-    spec: TrafficSpec,
-    variant: ModelVariant | None = None,
-) -> ChannelGraphModel:
-    """Pattern-aware per-channel model of a butterfly fat-tree.
-
-    The analytical counterpart of driving the simulators with
-    ``PoissonTraffic(..., spec=spec)``: destination probabilities propagate
-    through the adaptive up/down routing into per-channel rates, and the
-    resulting graph solves, sweeps and saturation-searches through the
-    batch engine like every other model.
-    """
-    check_power_of("num_processors", num_processors, 4)
-    flows = bft_channel_flows(ButterflyFatTree(num_processors), spec)
-    return stage_graph_from_flows(flows, workload, variant)
-
-
-def hypercube_traffic_stage_graph(
-    dimension: int,
-    workload: Workload,
-    spec: TrafficSpec,
-    variant: ModelVariant | None = None,
-) -> ChannelGraphModel:
-    """Pattern-aware per-channel model of a binary e-cube hypercube."""
-    if not isinstance(dimension, int) or dimension < 1:
-        raise ConfigurationError(
-            f"dimension must be a positive integer, got {dimension!r}"
-        )
-    flows = single_path_flows(Hypercube(dimension), spec)
-    return stage_graph_from_flows(flows, workload, variant)

@@ -98,11 +98,12 @@ class TestCommands:
 
     def test_sweep_with_pattern(self, capsys):
         from repro.core import latency_sweep, load_grid_to_saturation
+        from repro.design import design_family
         from repro.traffic import make_spec
 
         argv = ["-n", "16", "-f", "16", "--points", "4", "--pattern", "tornado"]
         data = _run_json(capsys, argv)
-        tm = ButterflyFatTreeModel(16).traffic_model(make_spec("tornado"), 16)
+        tm = design_family("bft").evaluator({"processors": 16}, make_spec("tornado"), 16)
         curve = latency_sweep(tm, 16, load_grid_to_saturation(tm, 16, n_points=4))
         assert data["metrics"]["curve"]["latencies"] == curve.latencies.tolist()
         assert main(["run", *argv]) == 0
@@ -110,14 +111,16 @@ class TestCommands:
 
     def test_saturation_with_pattern(self, capsys):
         from repro.core import saturation_injection_rate
+        from repro.design import design_family
         from repro.traffic import make_spec
 
         data = _run_json(
             capsys, ["-n", "16", "-f", "16", "--points", "0", "--pattern", "bit-reversal"]
         )
-        sat = saturation_injection_rate(
-            ButterflyFatTreeModel(16), 16, spec=make_spec("bit-reversal")
+        tm = design_family("bft").evaluator(
+            {"processors": 16}, make_spec("bit-reversal"), 16
         )
+        sat = saturation_injection_rate(tm, 16)
         assert data["metrics"]["saturation"]["flit_load"] == sat.flit_load
 
     def test_simulate_with_pattern(self, capsys):

@@ -34,6 +34,7 @@ from repro.core.generic_model import (
     bft_stage_graph,
     hypercube_stage_graph,
 )
+from repro.design import design_family
 from repro.errors import ConvergenceError
 from repro.obs import METRICS
 from repro.traffic import make_spec
@@ -429,9 +430,9 @@ class TestLoadGridPointCount:
     @pytest.mark.parametrize("with_spec", [True, False])
     @pytest.mark.parametrize("n_points", [2, 6, 10])
     def test_always_honors_n_points(self, with_spec, n_points):
-        model = ButterflyFatTreeModel(64)
         spec = make_spec("tornado") if with_spec else None
-        grid = load_grid_to_saturation(model, 32, n_points=n_points, spec=spec)
+        model = design_family("bft").evaluator({"processors": 64}, spec, 32)
+        grid = load_grid_to_saturation(model, 32, n_points=n_points)
         assert len(grid) == n_points
         assert np.all(np.diff(grid) > 0)
         assert np.all(grid > 0)

@@ -205,7 +205,7 @@ class TestBehaviour:
         assert isinstance(m, GeneralizedFatTreeModel)
         assert (m.children, m.parents, m.levels) == (4, 2, 4)
         own = {name for name in vars(ButterflyFatTreeModel) if not name.startswith("__")}
-        assert own == {"traffic_model", "describe"}
+        assert own == {"describe"}
 
     @given(
         exponent=st.integers(1, 5),

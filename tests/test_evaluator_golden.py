@@ -119,12 +119,9 @@ QUESTIONS = _questions()
 
 def resolve(family: str, params: dict, spec, faults, baseline: bool):
     """The family's evaluator for one question."""
-    fam = design_family(family)
-    if faults is not None:
-        return fam.faulted_evaluator(params, spec, FLITS, faults, baseline=baseline)
-    if baseline:
-        return fam.baseline_evaluator(params, spec, FLITS)
-    return fam.evaluator(params, spec, FLITS)
+    return design_family(family).evaluator(
+        params, spec, FLITS, faults=faults, baseline=baseline
+    )
 
 
 def _faults(dead: bool):

@@ -314,11 +314,11 @@ class TestRunTelemetry:
         # in the collected scope (one cheap one-point solve; the full
         # near-saturation run is exercised by the CI obs-smoke job).
         fam = design_family("kary-ncube")
-        evaluator = fam.faulted_evaluator(
+        evaluator = fam.evaluator(
             {"radix": 3, "dimensions": 2},
             None,
             16,
-            FaultSpec(dead_links=("up:0:1",)),
+            faults=FaultSpec(dead_links=("up:0:1",)),
         )
         with METRICS.collect() as got:
             latency = float(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import ModelVariant, Workload
+from repro import ButterflyFatTree, Hypercube, ModelVariant, Workload
 from repro.core.generic_model import (
     ChannelGraphModel,
     Stage,
@@ -38,10 +38,8 @@ from repro.design.families import design_family
 from repro.errors import ConfigurationError
 from repro.faults import FaultSpec
 from repro.obs import METRICS
-from repro.traffic.analytic import (
-    bft_traffic_stage_graph,
-    hypercube_traffic_stage_graph,
-)
+from repro.traffic.analytic import stage_graph_from_flows
+from repro.traffic.flows import bft_channel_flows, single_path_flows
 from repro.traffic.spec import HotspotSpec, TransposeSpec
 
 GOLDEN = Path(__file__).parent / "data" / "stage_graph_v1.json"
@@ -80,21 +78,29 @@ def _ring_graph() -> ChannelGraphModel:
 
 
 def _faulted(family: str, params: dict, dead: str, baseline: bool = False):
-    return design_family(family).faulted_evaluator(
-        params, None, FLITS, FaultSpec(dead_links=(dead,)), baseline=baseline
+    return design_family(family).evaluator(
+        params,
+        None,
+        FLITS,
+        faults=FaultSpec(dead_links=(dead,)),
+        baseline=baseline,
     )
 
 
+def _bft(num_processors: int, spec, variant=None) -> ChannelGraphModel:
+    flows = bft_channel_flows(ButterflyFatTree(num_processors), spec)
+    return stage_graph_from_flows(flows, WORKLOAD, variant)
+
+
+def _hypercube(dimension: int, spec) -> ChannelGraphModel:
+    flows = single_path_flows(Hypercube(dimension), spec)
+    return stage_graph_from_flows(flows, WORKLOAD)
+
+
 GRAPHS = {
-    "bft64-hotspot": lambda: bft_traffic_stage_graph(
-        64, WORKLOAD, HotspotSpec(fraction=0.2)
-    ),
-    "hc6-hotspot": lambda: hypercube_traffic_stage_graph(
-        6, WORKLOAD, HotspotSpec(fraction=0.2)
-    ),
-    "bft256-transpose": lambda: bft_traffic_stage_graph(
-        256, WORKLOAD, TransposeSpec()
-    ),
+    "bft64-hotspot": lambda: _bft(64, HotspotSpec(fraction=0.2)),
+    "hc6-hotspot": lambda: _hypercube(6, HotspotSpec(fraction=0.2)),
+    "bft256-transpose": lambda: _bft(256, TransposeSpec()),
     "bft64-uniform-closed": lambda: bft_stage_graph(64, WORKLOAD),
     "hc6-uniform-closed": lambda: hypercube_stage_graph(6, WORKLOAD),
     "bft64-dead-up:1:0": lambda: _faulted("bft", {"processors": 64}, "up:1:0"),
@@ -106,11 +112,11 @@ GRAPHS = {
         "kary-ncube", {"radix": 3, "dimensions": 2}, "up:0:1"
     ),
     "ring": _ring_graph,
-    "bft64-hotspot-no-blocking": lambda: bft_traffic_stage_graph(
-        64, WORKLOAD, HotspotSpec(fraction=0.2), ModelVariant.no_blocking_correction()
+    "bft64-hotspot-no-blocking": lambda: _bft(
+        64, HotspotSpec(fraction=0.2), ModelVariant.no_blocking_correction()
     ),
-    "bft64-hotspot-scv=1": lambda: bft_traffic_stage_graph(
-        64, WORKLOAD, HotspotSpec(fraction=0.2), ModelVariant.exponential_scv()
+    "bft64-hotspot-scv=1": lambda: _bft(
+        64, HotspotSpec(fraction=0.2), ModelVariant.exponential_scv()
     ),
 }
 CYCLIC = {"torus3x3-dead-up:0:1", "ring"}

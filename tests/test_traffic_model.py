@@ -1,4 +1,10 @@
-"""Tests for the pattern-aware analytical path (flows + stage graphs)."""
+"""Tests for the pattern-aware analytical path (flows + stage graphs).
+
+Pattern models are resolved like every caller resolves them, through
+``design_family(...).evaluator``; graphs the resolver never builds (the
+uniform per-channel graph, other reference rates) come straight from
+:func:`~repro.traffic.analytic.stage_graph_from_flows`.
+"""
 
 from __future__ import annotations
 
@@ -20,8 +26,6 @@ from repro import (
     TransposeSpec,
     UniformSpec,
     Workload,
-    bft_traffic_stage_graph,
-    hypercube_traffic_stage_graph,
 )
 from repro.core import (
     latency_sweep,
@@ -29,12 +33,27 @@ from repro.core import (
     saturation_injection_rate,
 )
 from repro.core.rates import bft_channel_rates, bft_channel_rates_for_matrix
+from repro.design import design_family
 from repro.topology.base import DOWN, UP
 from repro.topology.properties import bft_average_distance
-from repro.traffic import bft_channel_flows, single_path_flows
+from repro.traffic import bft_channel_flows, single_path_flows, stage_graph_from_flows
 
 N = 64
 FLITS = 16
+#: The rate the family resolver builds stage graphs at.
+REFERENCE = Workload(FLITS, 1.0 / (100.0 * FLITS))
+
+
+def bft_pattern_model(spec, **kw):
+    """The resolved pattern model of the N-PE butterfly fat-tree."""
+    return design_family("bft").evaluator({"processors": N}, spec, FLITS, **kw)
+
+
+def bft_uniform_graph(variant=None):
+    """The per-channel graph of uniform traffic (the resolver answers
+    uniform traffic with the closed form instead)."""
+    flows = bft_channel_flows(ButterflyFatTree(N), UniformSpec())
+    return stage_graph_from_flows(flows, REFERENCE, variant)
 
 
 def _class_links(topo, direction, level):
@@ -118,7 +137,8 @@ class TestHypercubeFlows:
 
     def test_traffic_model_solves(self):
         wl = Workload(FLITS, 0.002)
-        model = hypercube_traffic_stage_graph(4, wl, TornadoSpec())
+        flows = single_path_flows(Hypercube(4), TornadoSpec())
+        model = stage_graph_from_flows(flows, wl)
         lat = model.latency()
         assert np.isfinite(lat)
         assert lat > FLITS
@@ -131,7 +151,7 @@ class TestUniformEquivalence:
 
     def test_latency_matches_conditional_up_model(self):
         model = ButterflyFatTreeModel(N, ModelVariant.conditional_up())
-        graph = model.traffic_model(UniformSpec(), FLITS)
+        graph = bft_uniform_graph(model.variant)
         loads = np.array([0.0005, 0.002, 0.005, 0.008])
         a = graph.latency_batch(loads, FLITS)
         b = model.latency_batch(loads, FLITS)
@@ -139,7 +159,7 @@ class TestUniformEquivalence:
 
     def test_saturation_matches(self):
         model = ButterflyFatTreeModel(N, ModelVariant.conditional_up())
-        graph = model.traffic_model(UniformSpec(), FLITS)
+        graph = bft_uniform_graph(model.variant)
         sat_graph = saturation_injection_rate(graph, FLITS)
         sat_model = saturation_injection_rate(model, FLITS)
         assert sat_graph.injection_rate == pytest.approx(
@@ -148,7 +168,7 @@ class TestUniformEquivalence:
 
     def test_paper_variant_is_close(self):
         model = ButterflyFatTreeModel(N)
-        graph = model.traffic_model(UniformSpec(), FLITS)
+        graph = bft_uniform_graph()
         loads = np.array([0.002, 0.006])
         a = graph.latency_batch(loads, FLITS)
         b = model.latency_batch(loads, FLITS)
@@ -160,18 +180,18 @@ class TestPatternModels:
         model = ButterflyFatTreeModel(N)
         sat_uniform = saturation_injection_rate(model, FLITS)
         sat_hot = saturation_injection_rate(
-            model, FLITS, spec=HotspotSpec(fraction=0.2)
+            bft_pattern_model(HotspotSpec(fraction=0.2)), FLITS
         )
         assert sat_hot.injection_rate < sat_uniform.injection_rate
 
     def test_quad_local_latency_below_uniform(self):
         model = ButterflyFatTreeModel(N)
-        graph = model.traffic_model(QuadLocalSpec(), FLITS)
+        graph = bft_pattern_model(QuadLocalSpec())
         wl = Workload(FLITS, 0.004)
         assert float(graph.latency_batch([wl.injection_rate], FLITS)[0]) < model.latency(wl)
 
     def test_silent_sources_have_no_entries(self):
-        graph = bft_traffic_stage_graph(N, Workload(FLITS, 0.001), TransposeSpec())
+        graph = bft_pattern_model(TransposeSpec())
         names = {e.name for e in graph.entries}
         assert f"inj0" not in names  # node 0 is a transpose fixed point
         assert len(names) == 56  # 64 - 8 fixed points
@@ -186,30 +206,67 @@ class TestPatternModels:
             return original(self, rate_scales)
 
         monkeypatch.setattr(ChannelGraphModel, "solve_batch", counting)
-        model = ButterflyFatTreeModel(N)
+        model = bft_pattern_model(HotspotSpec(fraction=0.05))
         grid = np.linspace(0.01, 0.08, 24)
-        curve = latency_sweep(model, FLITS, grid, spec=HotspotSpec(fraction=0.05))
+        curve = latency_sweep(model, FLITS, grid)
         assert curve.latencies.shape == (24,)
         assert calls["n"] == 1
 
     def test_load_grid_with_spec_uses_pattern_saturation(self):
-        model = ButterflyFatTreeModel(N)
-        spec = HotspotSpec(fraction=0.3)
-        grid = load_grid_to_saturation(model, FLITS, n_points=8, spec=spec)
-        sat = saturation_injection_rate(model, FLITS, spec=spec)
+        model = bft_pattern_model(HotspotSpec(fraction=0.3))
+        grid = load_grid_to_saturation(model, FLITS, n_points=8)
+        sat = saturation_injection_rate(model, FLITS)
         assert grid[-1] == pytest.approx(0.98 * sat.flit_load)
+        uniform = saturation_injection_rate(ButterflyFatTreeModel(N), FLITS)
+        assert sat.flit_load < uniform.flit_load
 
     def test_traffic_model_validates_flits(self):
-        graph = ButterflyFatTreeModel(N).traffic_model(UniformSpec(), FLITS)
+        graph = bft_uniform_graph()
         with pytest.raises(ConfigurationError):
             graph.latency_batch(np.array([0.001]), FLITS + 1)
         with pytest.raises(ConfigurationError):
             graph.stability_batch(np.array([0.001]), FLITS + 1)
+        for flits in (0, 2.5):
+            with pytest.raises(ConfigurationError):
+                design_family("bft").evaluator(
+                    {"processors": N}, HotspotSpec(fraction=0.1), flits
+                )
 
     def test_spec_requires_traffic_aware_model(self):
-        graph = ButterflyFatTreeModel(N).traffic_model(UniformSpec(), FLITS)
-        with pytest.raises(ConfigurationError):
-            latency_sweep(graph, FLITS, [0.01, 0.02], spec=UniformSpec())
+        fam = design_family("generalized-fattree")
+        params = {"children": 4, "parents": 2, "levels": 3}
+        with pytest.raises(ConfigurationError, match="no pattern-aware model"):
+            fam.evaluator(params, HotspotSpec(fraction=0.1), FLITS)
+        # Uniform traffic keeps the family's closed form.
+        assert fam.evaluator(params, UniformSpec(), FLITS).latency_batch(
+            np.array([0.001]), FLITS
+        )[0] > FLITS
+
+    def test_baseline_pattern_model_shares_cached_flows(self, monkeypatch):
+        """The prior-art pattern model traces flows once, like the paper's."""
+        from repro.design import families
+        from repro.traffic import flows as traffic_flows
+
+        for value in vars(families).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        traced = []
+        original = traffic_flows.bft_channel_flows
+
+        def spy(topology, spec):
+            traced.append(spec)
+            return original(topology, spec)
+
+        monkeypatch.setattr(traffic_flows, "bft_channel_flows", spy)
+        spec = HotspotSpec(fraction=0.1)
+        first = bft_pattern_model(spec, baseline=True)
+        second = bft_pattern_model(spec, baseline=True)
+        paper = bft_pattern_model(spec)
+        assert traced == [spec]
+        assert first.variant == second.variant == ModelVariant.naive()
+        assert paper.variant == ModelVariant.paper()
+        loads = np.array([0.001, 0.004])
+        assert np.array_equal(first.latency_batch(loads), second.latency_batch(loads))
 
 
 class TestMultiEntryValidation:
