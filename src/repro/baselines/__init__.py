@@ -1,4 +1,4 @@
-"""Prior-art baseline models (S7 in DESIGN.md).
+"""Prior-art baseline models.
 
 * :class:`DallyKaryNCubeModel` — Dally-style analysis of unidirectional
   k-ary n-cubes (deterministic routing, per-channel M/G/1 contention, no

@@ -27,8 +27,8 @@ Gives downstream users the main entry points without writing Python:
   ``--save`` records the frontier as a ``kind="exploration"`` run so it
   diffs across PRs like any other record;
 * ``experiment``  — regenerate a paper artifact (fig3, throughput, scaling,
-  ablations, other-networks, crosscheck, generalized, buffering, traffic,
-  design, topologies, faults).
+  ablations, other-networks, validate, generalized, buffering,
+  service-times, design, faults).
 
 Every subcommand accepts ``--json``: machine-readable output through one
 shared formatter (non-finite floats encode as the sentinel strings of
@@ -74,13 +74,11 @@ _EXPERIMENTS = {
     "scaling": "run_scaling",
     "ablations": "run_ablations",
     "other-networks": "run_other_networks",
-    "crosscheck": "run_crosscheck",
+    "validate": "run_validation",
     "generalized": "run_generalized",
     "buffering": "run_buffering",
     "service-times": "run_service_times",
-    "traffic": "run_traffic_scenarios",
     "design": "run_design_exploration",
-    "topologies": "run_topology_matrix",
     "faults": "run_fault_degradation",
 }
 
@@ -939,10 +937,17 @@ def _cmd_experiment(args):
 
     from . import experiments
 
+    runner = getattr(experiments, _EXPERIMENTS[args.name])
+    previous = os.environ.get("REPRO_FULL")
     if args.full:
         os.environ["REPRO_FULL"] = "1"
-    runner = getattr(experiments, _EXPERIMENTS[args.name])
-    text = runner().render()
+    try:
+        text = runner().render()
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_FULL", None)
+        else:
+            os.environ["REPRO_FULL"] = previous
     return text, {"experiment": args.name, "full": args.full, "rendered": text}
 
 

@@ -1,4 +1,4 @@
-"""The paper's analytical wormhole-routing model (S4 in DESIGN.md).
+"""The paper's analytical wormhole-routing model.
 
 * :mod:`repro.core.rates` — channel arrival rates (Eqs. 12-15);
 * :mod:`repro.core.blocking` — the wormhole blocking correction (Eqs. 9-10);

@@ -189,8 +189,9 @@ class DesignFamily:
     ):
         """The analytical model answering one question about a member.
 
-        Uniform fault-free traffic gets :meth:`uniform_model`; any other
-        pattern or any fault set gets the Section 2 stage graph of the
+        Uniform fault-free traffic gets :meth:`uniform_model` (a fault
+        spec that kills nothing counts as fault-free); any other pattern
+        or any fault set gets the Section 2 stage graph of the
         traced :meth:`flows`, built at the reference rate
         ``1 / (100 F)``.  ``baseline`` switches in the
         :meth:`prior_art_variant`.  Flows are memoized per
@@ -207,6 +208,8 @@ class DesignFamily:
         variant = self.prior_art_variant() if baseline else None
         if spec is not None and spec.name == "uniform":
             spec = None  # canonical cache key; the tracers default to uniform
+        if faults is not None and faults.is_trivial():
+            faults = None  # a spec that kills nothing is the nominal question
         if spec is None and faults is None:
             return self.uniform_model(params, message_flits, variant)
         key = (self.name, tuple(sorted(params.items())), spec)

@@ -1,4 +1,4 @@
-"""Experiment harness (S8 in DESIGN.md) — one module per paper artifact.
+"""Experiment harness — one module per paper artifact.
 
 * :mod:`repro.experiments.fig3` — Figure 3 (latency vs load, N=1024);
 * :mod:`repro.experiments.throughput_table` — saturation throughput table
@@ -9,14 +9,12 @@
   novelties + modelling choices);
 * :mod:`repro.experiments.other_networks` — the general model on the
   hypercube plus the Dally torus baseline;
-* :mod:`repro.experiments.crosscheck` — event-driven vs flit-level
-  simulator validation;
-* :mod:`repro.experiments.traffic_scenarios` — pattern-aware model vs
-  simulation under non-uniform traffic (hotspot, transpose, ...);
+* :mod:`repro.experiments.validate` — the model against the simulators
+  over one cell list: every topology family through the
+  model/baseline/simulate backends of the facade, non-uniform traffic
+  (hotspot, transpose, ...) and event-driven vs flit-level simulation;
 * :mod:`repro.experiments.design_exploration` — SLO-driven sizing of a
   CM-5-class machine through the design-space explorer;
-* :mod:`repro.experiments.topology_matrix` — one Scenario per topology
-  family through the model/baseline/simulate backends of the facade;
 * :mod:`repro.experiments.faults` — degraded-mode curves: per-family
   saturation and latency as seeded random link failures accumulate.
 
@@ -27,7 +25,6 @@ quick mode (see :mod:`repro.experiments.common`).
 from .ablations import AblationResult, run_ablations
 from .buffering import BufferingResult, run_buffering
 from .common import ExperimentMode, full_mode, mode, relative_error
-from .crosscheck import CrossCheckResult, poisson_trace, run_crosscheck
 from .design_exploration import (
     DesignExplorationResult,
     default_design_scenarios,
@@ -45,16 +42,12 @@ from .report import default_results_dir, write_report
 from .scaling import ScalingResult, run_scaling
 from .service_times import ServiceTimeResult, run_service_times
 from .throughput_table import ThroughputResult, run_throughput_table
-from .topology_matrix import (
-    TopologyMatrixResult,
-    TopologyMatrixRow,
-    run_topology_matrix,
-)
-from .traffic_scenarios import (
-    TrafficScenarioRow,
-    TrafficScenariosResult,
-    default_scenarios,
-    run_traffic_scenarios,
+from .validate import (
+    ValidationCell,
+    ValidationResult,
+    ValidationRow,
+    default_cells,
+    run_validation,
 )
 
 __all__ = [
@@ -66,9 +59,6 @@ __all__ = [
     "full_mode",
     "mode",
     "relative_error",
-    "CrossCheckResult",
-    "poisson_trace",
-    "run_crosscheck",
     "DesignExplorationResult",
     "default_design_scenarios",
     "run_design_exploration",
@@ -89,11 +79,9 @@ __all__ = [
     "run_service_times",
     "ThroughputResult",
     "run_throughput_table",
-    "TopologyMatrixResult",
-    "TopologyMatrixRow",
-    "run_topology_matrix",
-    "TrafficScenarioRow",
-    "TrafficScenariosResult",
-    "default_scenarios",
-    "run_traffic_scenarios",
+    "ValidationCell",
+    "ValidationResult",
+    "ValidationRow",
+    "default_cells",
+    "run_validation",
 ]

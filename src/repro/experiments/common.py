@@ -1,8 +1,8 @@
 """Shared experiment infrastructure.
 
 Every experiment in this package regenerates one artifact of the paper's
-evaluation (see the per-experiment index in DESIGN.md) and supports two
-fidelity modes:
+evaluation (see the per-experiment index in :mod:`repro.experiments`) and
+supports two fidelity modes:
 
 * **quick** (default) — small measurement windows and reduced grids, sized
   so the full benchmark suite completes in minutes on a laptop;

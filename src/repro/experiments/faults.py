@@ -26,7 +26,7 @@ from ..errors import PartitionedNetworkError
 from ..runs.runner import Runner
 from ..util.tables import format_table
 from .common import ExperimentMode, mode
-from .topology_matrix import _family_scenarios
+from .validate import _family_scenarios
 
 __all__ = ["FaultDegradationRow", "FaultDegradationResult", "run_fault_degradation"]
 

@@ -1,4 +1,4 @@
-"""Queueing-theory substrate (S1 in DESIGN.md).
+"""Queueing-theory substrate.
 
 Implements the waiting-time building blocks of the paper:
 

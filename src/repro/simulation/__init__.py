@@ -1,4 +1,4 @@
-"""Wormhole-routing simulators (S5/S6 in DESIGN.md).
+"""Wormhole-routing simulators.
 
 * :mod:`repro.simulation.wormhole_sim` — event-driven worm-level simulator
   (primary validation engine; exact under the long-worm assumption);
@@ -6,7 +6,7 @@
   simulator used for cross-validation;
 * :mod:`repro.simulation.traffic` — Poisson sources and destination
   patterns (uniform per the paper, plus permutation/hotspot/local
-  extensions) and trace replay;
+  extensions), trace replay and shared Poisson traces;
 * :mod:`repro.simulation.metrics` — measurement protocol and result types;
 * :mod:`repro.simulation.saturation` — empirical saturation search;
 * :mod:`repro.simulation.runner` — replication aggregation and simulated
@@ -22,7 +22,14 @@ from .flit_sim import FlitLevelWormholeSimulator, simulate_flit_level
 from .metrics import ClassStats, MetricsCollector, SimulationResult
 from .runner import ReplicatedResult, run_replications, simulated_latency_curve
 from .saturation import empirical_saturation
-from .traffic import Arrival, Pattern, PoissonTraffic, TraceTraffic, bimodal_lengths
+from .traffic import (
+    Arrival,
+    Pattern,
+    PoissonTraffic,
+    TraceTraffic,
+    bimodal_lengths,
+    poisson_trace,
+)
 from .wormhole_sim import EventDrivenWormholeSimulator, simulate
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "PoissonTraffic",
     "TraceTraffic",
     "bimodal_lengths",
+    "poisson_trace",
     "EventDrivenWormholeSimulator",
     "simulate",
 ]

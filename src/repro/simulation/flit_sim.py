@@ -1,4 +1,4 @@
-"""Cycle-driven flit-level wormhole simulator (S6 in DESIGN.md).
+"""Cycle-driven flit-level wormhole simulator.
 
 An independent implementation of the same wormhole semantics as
 :mod:`repro.simulation.wormhole_sim`, used to cross-validate it.  Instead of

@@ -36,7 +36,14 @@ from ..errors import ConfigurationError
 from ..traffic.spec import BurstyArrivals, PermutationSpec, TrafficSpec, make_spec
 from ..util.rng import spawn_rngs
 
-__all__ = ["Pattern", "PoissonTraffic", "TraceTraffic", "Arrival", "bimodal_lengths"]
+__all__ = [
+    "Pattern",
+    "PoissonTraffic",
+    "TraceTraffic",
+    "Arrival",
+    "bimodal_lengths",
+    "poisson_trace",
+]
 
 
 class Pattern(enum.Enum):
@@ -288,3 +295,36 @@ class TraceTraffic:
         ]
         floored.sort(key=lambda a: a.time)
         return TraceTraffic(floored)
+
+
+def poisson_trace(
+    num_pes: int,
+    injection_rate: float,
+    horizon: float,
+    seed: int,
+    *,
+    integer_times: bool = True,
+) -> TraceTraffic:
+    """Generate a shared Poisson/uniform arrival trace.
+
+    With ``integer_times`` the aggregate arrival process is sampled in
+    continuous time and floored to whole cycles, so the event-driven and
+    flit-level simulators see bit-identical inputs.
+    """
+    rng = np.random.default_rng(seed)
+    items: list[Arrival] = []
+    t = 0.0
+    total_rate = injection_rate * num_pes
+    if total_rate <= 0:
+        return TraceTraffic([])
+    while True:
+        t += float(rng.exponential(1.0 / total_rate))
+        if t >= horizon:
+            break
+        src = int(rng.integers(num_pes))
+        dst = int(rng.integers(num_pes - 1))
+        if dst >= src:
+            dst += 1
+        items.append(Arrival(float(int(t)) if integer_times else t, src, dst))
+    items.sort(key=lambda a: a.time)
+    return TraceTraffic(items)

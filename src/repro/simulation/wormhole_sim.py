@@ -1,4 +1,4 @@
-"""Event-driven worm-level wormhole simulator (S5 in DESIGN.md).
+"""Event-driven worm-level wormhole simulator.
 
 Simulates the paper's wormhole semantics exactly, at message (worm)
 granularity rather than flit granularity, which keeps the event count at

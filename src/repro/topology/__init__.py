@@ -1,4 +1,4 @@
-"""Network topology substrate (S2/S3 in DESIGN.md).
+"""Network topology substrate.
 
 * :mod:`repro.topology.butterfly_fattree` — the paper's butterfly fat-tree
   (Figure 2) with adaptive up/down routing;

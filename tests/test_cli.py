@@ -25,11 +25,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
-    @pytest.mark.parametrize("verb", ["sweep", "saturation", "simulate"])
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            "sweep",
+            "saturation",
+            "simulate",
+            "experiment crosscheck",
+            "experiment traffic",
+            "experiment topologies",
+        ],
+    )
     def test_retired_verbs_rejected(self, verb):
-        # Retired in 3.0.0: `repro run` answers all three.
+        # Retired in 3.0.0: `repro run` answers the first three.  Retired in
+        # 5.0.0: `repro experiment validate` answers the three experiments.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([verb])
+            build_parser().parse_args(verb.split())
         assert exc.value.code == 2
 
     def test_experiment_choices(self):
@@ -190,9 +201,49 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "links" in out and "<0,1>" in out
 
-    def test_experiment_crosscheck(self, capsys):
-        assert main(["experiment", "crosscheck"]) == 0
-        assert "cross-validation" in capsys.readouterr().out
+    def test_experiment_validate(self, capsys):
+        import json
+
+        from repro.experiments import default_cells
+
+        assert main(["experiment", "validate", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["experiment"] == "validate" and data["full"] is False
+        table = data["rendered"].splitlines()
+        assert table[0].startswith("Model vs simulation")
+        rows = table[3:]  # title, header, rule
+        assert len(rows) == len(default_cells())
+        for family in ("bft", "generalized-fattree", "hypercube", "kary-ncube"):
+            assert any(row.split("|")[0].strip() == family for row in rows)
+
+    def test_experiment_full_flag_does_not_leak_into_the_environment(
+        self, monkeypatch, capsys
+    ):
+        import os
+
+        from repro import experiments
+
+        seen = []
+
+        class _Stub:
+            def render(self):
+                return "stub"
+
+        def stub_runner():
+            seen.append(os.environ.get("REPRO_FULL"))
+            return _Stub()
+
+        monkeypatch.setattr(experiments, "run_validation", stub_runner)
+        for previous in (None, "0"):
+            if previous is None:
+                monkeypatch.delenv("REPRO_FULL", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FULL", previous)
+            before = dict(os.environ)
+            assert main(["experiment", "validate", "--full"]) == 0
+            assert dict(os.environ) == before
+        assert seen == ["1", "1"]
+        assert capsys.readouterr().out == "stub\nstub\n"
 
     def test_patterns_lists_registry(self, capsys):
         from repro.traffic.spec import available_patterns
@@ -461,11 +512,6 @@ class TestRunCommand:
                      "--topology", "hypercube"]) == 0
         out = capsys.readouterr().out
         assert "1 run(s)" in out and "hypercube" in out
-
-    def test_experiment_topologies(self, capsys):
-        assert main(["experiment", "topologies"]) == 0
-        out = capsys.readouterr().out
-        assert "kary-ncube" in out and "hypercube" in out
 
     def test_run_bad_backend_rejected(self):
         with pytest.raises(SystemExit):

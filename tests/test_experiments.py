@@ -8,16 +8,16 @@ import pytest
 
 from repro.experiments import (
     ExperimentMode,
+    default_cells,
     full_mode,
     mode,
-    poisson_trace,
     relative_error,
     run_ablations,
-    run_crosscheck,
     run_fig3,
     run_other_networks,
     run_scaling,
     run_throughput_table,
+    run_validation,
     write_report,
 )
 from repro.core.variants import ModelVariant
@@ -133,16 +133,47 @@ class TestOtherNetworks:
         assert len(res.torus_rows) == 3
 
 
-class TestCrossCheck:
-    def test_simulators_agree(self):
-        res = run_crosscheck(sizes=(16,), flit_loads=(0.04,), experiment_mode=TINY)
-        row = res.rows[0]
-        assert row.event_delivered == row.flit_delivered
-        assert abs(row.rel_diff) < 0.05
-        assert "cross-validation" in res.render()
+class TestValidation:
+    def test_default_cells_cover_the_three_retired_experiments(self):
+        cells = default_cells(TINY)
+        shapes = [
+            (c.scenario.topology, c.scenario.num_processors, c.scenario.pattern)
+            for c in cells
+        ]
+        assert len(shapes) == len(set(shapes)) == 9
+        # every family shape, uniform and nominal
+        assert {t for t, _, _ in shapes} == {
+            "bft", "generalized-fattree", "hypercube", "kary-ncube"
+        }
+        # every pattern of the 64-PE fat-tree
+        assert {p for t, n, p in shapes if (t, n) == ("bft", 64)} == {
+            "uniform", "hotspot", "transpose", "bit-reversal", "tornado"
+        }
+        for c in cells:
+            assert c.scenario.faults is None and c.scenario.seed == 23
+            torus = c.scenario.topology == "kary-ncube"
+            assert c.load_fraction == (0.1 if torus else 0.5)
+            crosscheck = c.scenario.topology == "bft" and c.scenario.pattern == "uniform"
+            assert c.simulators == (("event", "flit") if crosscheck else ("event",))
 
-    def test_poisson_trace_properties(self):
-        trace = poisson_trace(16, 0.01, 1000.0, seed=3)
-        items = list(trace.arrivals(1000.0))
-        assert all(a.src != a.dst for a in items)
-        assert all(float(a.time).is_integer() for a in items)
+    def test_rows_match_the_batch_backend_exactly(self):
+        from repro.runs import run
+
+        cells = [
+            c for c in default_cells(TINY)
+            if c.scenario.topology in ("bft", "hypercube")
+            and c.scenario.num_processors == 16
+        ]
+        res = run_validation(cells=cells, experiment_mode=TINY)
+        assert len(res.rows) == 2
+        for row in res.rows:
+            record = run(row.scenario.with_backend("batch"))
+            assert row.model_latency == record.metrics["point"]["latency"]
+            assert row.saturation_flit_load == record.metrics["saturation"]["flit_load"]
+            assert row.scenario.flit_load == 0.5 * row.saturation_flit_load
+            assert row.baseline_latency > row.model_latency
+        bft = res.rows[0]
+        assert list(bft.sim_latency) == ["event", "flit"]
+        assert all(math.isfinite(lat) for lat in bft.sim_latency.values())
+        assert abs(bft.error(bft.sim_latency["flit"])) < 0.05
+        assert "flit err" in res.render()

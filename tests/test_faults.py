@@ -287,6 +287,29 @@ class TestScenarioFaults:
             Scenario(faults={"dead_links": ["sideways:0:0"]})
 
 
+class TestTrivialFaultSpecIsNominal:
+    @pytest.mark.parametrize(
+        "shape",
+        [s for s, _ in FAMILY_MATRIX] + [dict(topology="bft", num_processors=64)],
+        ids=[s["topology"] for s, _ in FAMILY_MATRIX] + ["bft64"],
+    )
+    def test_evaluator_answers_equal_the_fault_free_ones(self, shape):
+        from repro.core.throughput import saturation_injection_rate
+        from repro.design.families import design_family
+
+        flits = 16
+        scenario = Scenario(message_flits=flits, **shape)
+        fam, params = design_family(scenario.topology), scenario.family_params()
+        nominal = fam.evaluator(params, None, flits, faults=None)
+        trivial = fam.evaluator(params, None, flits, faults=FaultSpec())
+        sat = saturation_injection_rate(nominal, flits)
+        assert saturation_injection_rate(trivial, flits) == sat
+        rates = np.linspace(0.0, 1.2 * sat.injection_rate, 16)
+        assert np.array_equal(
+            trivial.latency_batch(rates, flits), nominal.latency_batch(rates, flits)
+        )
+
+
 class TestDesignFaults:
     def test_requirements_fault_spec(self):
         from repro.design import Requirements

@@ -6,7 +6,7 @@ backend) pair returns the shared point/saturation/curve metric layout,
 round-trip losslessly through the registry, and the simulate-vs-model
 crosscheck stays bounded (half saturation for the families whose
 simulators run there; low load for the virtual-channel-less torus,
-mirroring ``repro experiment topologies``).
+mirroring ``repro experiment validate``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro import (
     simulate,
     simulate_flit_level,
 )
-from repro.experiments.crosscheck import poisson_trace
+from repro.simulation.traffic import poisson_trace
 
 
 def _trace_cfg(measure=200.0, seed=0):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConfigurationError, Pattern, PoissonTraffic, TraceTraffic, Workload
-from repro.simulation.traffic import Arrival
+from repro.simulation.traffic import Arrival, poisson_trace
 
 
 def _collect(traffic, horizon):
@@ -211,6 +211,12 @@ class TestTraceTraffic:
         fl = list(tr.floored().arrivals(10))
         assert [a.time for a in fl] == [0.0, 2.0]
         assert [a.flits for a in fl] == [8, 56]
+
+    def test_poisson_trace_properties(self):
+        trace = poisson_trace(16, 0.01, 1000.0, seed=3)
+        items = list(trace.arrivals(1000.0))
+        assert all(a.src != a.dst for a in items)
+        assert all(float(a.time).is_integer() for a in items)
 
     @given(
         n=st.integers(2, 32),

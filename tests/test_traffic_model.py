@@ -8,6 +8,8 @@ uniform per-channel graph, other reference rates) come straight from
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -317,22 +319,17 @@ class TestModelVsSimulationAgreement:
     10% at half the pattern's saturation load on a 64-PE fat-tree."""
 
     def test_nonuniform_agreement_at_half_saturation(self):
-        from repro.experiments.traffic_scenarios import run_traffic_scenarios
         from repro.experiments.common import ExperimentMode
-        from repro.traffic import BitReversalSpec
+        from repro.experiments.validate import default_cells, run_validation
 
-        result = run_traffic_scenarios(
-            num_processors=64,
-            message_flits=16,
-            scenarios=(
-                HotspotSpec(fraction=0.05, target=0),
-                TransposeSpec(),
-                BitReversalSpec(),
-            ),
-            experiment_mode=ExperimentMode(full=False),
-        )
-        assert len(result.rows) == 3
+        quick = ExperimentMode(full=False)
+        patterns = ("hotspot", "transpose", "bit-reversal")
+        cells = [c for c in default_cells(quick) if c.scenario.pattern in patterns]
+        result = run_validation(cells=cells, experiment_mode=quick)
+        assert [r.scenario.pattern for r in result.rows] == list(patterns)
         for row in result.rows:
-            assert row.sim_stable, row.pattern
-            assert abs(row.rel_err) <= 0.10, (row.pattern, row.rel_err)
-        assert "Traffic scenarios" in result.render()
+            assert row.scenario.num_processors == 64
+            assert row.load_fraction == 0.5
+            assert math.isfinite(row.reference_latency), row.scenario.pattern
+            assert abs(row.model_err) <= 0.10, (row.scenario.pattern, row.model_err)
+        assert "Model vs simulation" in result.render()
