@@ -28,13 +28,12 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-import numpy as np
-
 from ..config import SimConfig, Workload
 from ..errors import ConfigurationError
 from ..topology.base import SimTopology
 from ..util.rng import spawn_rngs
 from .metrics import MetricsCollector, SimulationResult
+from .routes import InjectionLinks, RouteLinks
 from .traffic import Arrival, PoissonTraffic
 
 __all__ = ["FlitLevelWormholeSimulator", "simulate_flit_level"]
@@ -101,20 +100,24 @@ class FlitLevelWormholeSimulator:
         """Execute the cycle loop until the drain completes or the horizon hits.
 
         Returns the frozen :class:`SimulationResult`; the simulator is
-        single-use (construct a new instance per run).
+        single-use (a second call raises
+        :class:`~repro.errors.SimulationError`).
         """
         topo = self.topology
         cfg = self.config
         metrics = self.metrics
+        metrics.start()
         flits = self.workload.message_flits
         cutoff = int(cfg.cutoff_cycles)
         measure_end = cfg.measure_end
         link_dst = topo.link_dst
         link_group = topo.link_group
         class_id = metrics.link_class_id
+        routes = RouteLinks(topo)
+        injection = InjectionLinks(topo)
         rng = self._choice_rng
 
-        free = np.ones(topo.num_links, dtype=bool)
+        free = [True] * topo.num_links
         group_members = [tuple(g) for g in topo.groups]
         queues: list[list[tuple[int, float, int, _Worm]]] = [
             [] for _ in range(len(group_members))
@@ -132,12 +135,9 @@ class FlitLevelWormholeSimulator:
 
         def enqueue_request(worm: _Worm, cycle: int) -> None:
             nonlocal seq
-            if worm.path:
-                options = topo.route_options(worm.node, worm.dst)
-            else:
-                options = topo.injection_options(worm.src)
-            g = link_group[options.links[0]]
-            heapq.heappush(queues[g], (cycle, float(rng.random()), seq, worm))
+            links = routes[worm.node, worm.dst] if worm.path else injection[worm.src]
+            g = link_group[links[0]]
+            heapq.heappush(queues[g], (cycle, rng.random(), seq, worm))
             active_groups.add(g)
             seq += 1
 
@@ -149,9 +149,7 @@ class FlitLevelWormholeSimulator:
                 link = worm.path[k]
                 free[link] = True
                 metrics.on_busy(
-                    int(class_id[link]),
-                    cycle + 1 - worm.acquires[k],
-                    float(worm.acquires[k]),
+                    class_id[link], cycle + 1 - worm.acquires[k], worm.acquires[k]
                 )
                 g = link_group[link]
                 if queues[g]:
@@ -172,7 +170,7 @@ class FlitLevelWormholeSimulator:
                         "the flit-level engine supports fixed-length worms only; "
                         "use the event-driven simulator for variable lengths"
                     )
-                tagged = metrics.on_generated(float(t))
+                tagged = metrics.on_generated(t)
                 worm = _Worm(a.src, a.dst, float(t), tagged)
                 if tagged:
                     tagged_outstanding += 1
@@ -202,7 +200,7 @@ class FlitLevelWormholeSimulator:
                         free[link] = False
                         worm.path.append(link)
                         worm.acquires.append(t)
-                        metrics.on_acquisition(int(class_id[link]), float(t))
+                        metrics.on_acquisition(class_id[link], t)
                         nxt = link_dst[link]
                         if nxt == worm.dst:
                             worm.final_acquired = True

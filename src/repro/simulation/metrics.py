@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import SimConfig, Workload
+from ..errors import SimulationError
 from ..topology.base import LinkClass
 from ..util.stats import OnlineStats
 
@@ -146,29 +147,40 @@ class MetricsCollector:
             if cls not in self._class_index:
                 self._class_index[cls] = len(self._class_names)
                 self._class_names.append(str(cls))
-        self.link_class_id = np.array(
-            [self._class_index[cls] for cls in link_classes], dtype=np.int32
-        )
+        #: Class index of every link.
+        self.link_class_id = [self._class_index[cls] for cls in link_classes]
         n_classes = len(self._class_names)
-        self._class_links = np.zeros(n_classes, dtype=np.int64)
-        for cls in link_classes:
-            self._class_links[self._class_index[cls]] += 1
-        self._class_acquisitions = np.zeros(n_classes, dtype=np.int64)
-        self._class_busy = np.zeros(n_classes, dtype=float)
+        self._class_links = [0] * n_classes
+        for i in self.link_class_id:
+            self._class_links[i] += 1
+        # Plain lists and a cached window: the hooks below run once per grant.
+        self._class_acquisitions = [0] * n_classes
+        self._class_busy = [0.0] * n_classes
+        self._measure_start = config.measure_start
+        self._measure_end = config.measure_end
+        self._started = False
+
+    def start(self) -> None:
+        """Claim the collector for one run; a second run would merge into it."""
+        if self._started:
+            raise SimulationError(
+                "a simulator runs once; construct a new instance per run"
+            )
+        self._started = True
 
     # --- hooks called by simulators --------------------------------------------------
 
     def on_generated(self, gen_time: float) -> bool:
         """Register a generated message; returns True when it is tagged."""
         self.generated_total += 1
-        tagged = self.config.measure_start <= gen_time < self.config.measure_end
+        tagged = self._measure_start <= gen_time < self._measure_end
         if tagged:
             self.tagged_generated += 1
         return tagged
 
     def on_acquisition(self, link_class_id: int, time: float) -> None:
         """Register a link grant (for empirical per-class rates)."""
-        if self.config.measure_start <= time < self.config.measure_end:
+        if self._measure_start <= time < self._measure_end:
             self._class_acquisitions[link_class_id] += 1
 
     def on_busy(
@@ -183,7 +195,7 @@ class MetricsCollector:
         ``x_bar``.
         """
         if acquire_time is not None and not (
-            self.config.measure_start <= acquire_time < self.config.measure_end
+            self._measure_start <= acquire_time < self._measure_end
         ):
             return
         self._class_busy[link_class_id] += duration
@@ -202,7 +214,7 @@ class MetricsCollector:
         self.delivered_total += 1
         if path_length > flits:
             self.short_worms += 1
-        if self.config.measure_start <= delivery_time < self.config.measure_end:
+        if self._measure_start <= delivery_time < self._measure_end:
             self.delivered_in_window += 1
             self.delivered_flits_in_window += flits
         if tagged:
@@ -224,9 +236,9 @@ class MetricsCollector:
             p50 = p95 = math.nan
         class_stats = {
             name: ClassStats(
-                links=int(self._class_links[i]),
-                acquisitions=int(self._class_acquisitions[i]),
-                busy_time=float(self._class_busy[i]),
+                links=self._class_links[i],
+                acquisitions=self._class_acquisitions[i],
+                busy_time=self._class_busy[i],
             )
             for i, name in enumerate(self._class_names)
         }

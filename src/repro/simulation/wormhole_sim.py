@@ -31,15 +31,13 @@ reported as :attr:`SimulationResult.short_worm_fraction`.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
-
-import numpy as np
 
 from ..config import SimConfig, Workload
 from ..errors import SimulationError
 from ..topology.base import SimTopology
 from ..util.rng import spawn_rngs
 from .metrics import MetricsCollector, SimulationResult
+from .routes import InjectionLinks, RouteLinks
 from .traffic import PoissonTraffic
 
 __all__ = ["EventDrivenWormholeSimulator", "simulate"]
@@ -116,19 +114,23 @@ class EventDrivenWormholeSimulator:
         """Execute the event loop until the drain completes or the horizon hits.
 
         Returns the frozen :class:`SimulationResult`; the simulator is
-        single-use (construct a new instance per run).
+        single-use (a second call raises
+        :class:`~repro.errors.SimulationError`).
         """
         topo = self.topology
         cfg = self.config
         metrics = self.metrics
+        metrics.start()
         flits = self.workload.message_flits
         cutoff = cfg.cutoff_cycles
         measure_end = cfg.measure_end
         link_dst = topo.link_dst
         class_id = metrics.link_class_id
+        routes = RouteLinks(topo)
+        injection = InjectionLinks(topo)
         choice = self._choice_rng
 
-        free = np.ones(topo.num_links, dtype=bool)
+        free = [True] * topo.num_links
         queues: list[list[tuple[float, float, int, _Worm, tuple[int, ...]]]] = [
             [] for _ in range(len(topo.groups))
         ]
@@ -155,7 +157,7 @@ class EventDrivenWormholeSimulator:
             free[link] = False
             worm.path.append(link)
             worm.acquires.append(time)
-            metrics.on_acquisition(int(class_id[link]), time)
+            metrics.on_acquisition(class_id[link], time)
             nxt_node = link_dst[link]
             if nxt_node == worm.dst:
                 self._complete(worm, time, push)
@@ -165,8 +167,7 @@ class EventDrivenWormholeSimulator:
                 worm.node = nxt_node
                 push(time + 1.0, _EVT_REQUEST, worm)
 
-        def request(worm: _Worm, options, time: float) -> None:
-            links = options.links
+        def request(worm: _Worm, links: tuple[int, ...], time: float) -> None:
             if len(links) == 1:
                 link = links[0]
                 if free[link]:
@@ -183,7 +184,7 @@ class EventDrivenWormholeSimulator:
                     grant(worm, link, time)
                     return
             g = link_group[links[0]]
-            heapq.heappush(queues[g], (time, float(choice.random()), id(worm), worm, links))
+            heapq.heappush(queues[g], (time, choice.random(), id(worm), worm, links))
 
         while heap:
             now, _, kind, payload = heapq.heappop(heap)
@@ -197,13 +198,13 @@ class EventDrivenWormholeSimulator:
                 )
                 if tagged:
                     tagged_outstanding += 1
-                request(worm, topo.injection_options(a.src), a.time)
+                request(worm, injection[a.src], a.time)
                 nxt = next(arrival_iter, None)
                 if nxt is not None:
                     push(nxt.time, _EVT_ARRIVAL, nxt)
             elif kind == _EVT_REQUEST:
                 worm = payload
-                request(worm, topo.route_options(worm.node, worm.dst), now)
+                request(worm, routes[worm.node, worm.dst], now)
             else:  # _EVT_RELEASE
                 link = payload
                 if free[link]:
@@ -233,9 +234,7 @@ class EventDrivenWormholeSimulator:
         for i, link in enumerate(worm.path):
             release = start + i + flits
             push(release, _EVT_RELEASE, link)
-            metrics.on_busy(
-                int(class_id[link]), release - worm.acquires[i], worm.acquires[i]
-            )
+            metrics.on_busy(class_id[link], release - worm.acquires[i], worm.acquires[i])
         metrics.on_delivered(
             worm.gen_time, a_last + flits, worm.tagged, depth, flits
         )

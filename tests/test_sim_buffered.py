@@ -16,6 +16,7 @@ from repro import (
     simulate,
     simulate_buffered,
 )
+from repro.errors import SimulationError
 from repro.simulation.buffered_sim import BufferedWormholeSimulator, dateline_policy
 
 
@@ -128,6 +129,17 @@ class TestLoadedAgreement:
         r1 = simulate_buffered(bft16, wl, cfg, keep_samples=False)
         r2 = simulate_buffered(bft16, wl, cfg, keep_samples=False)
         assert r1.latency_mean == r2.latency_mean
+
+    def test_second_run_raises(self, bft16):
+        # One instance accumulates one run: a second call would merge its
+        # statistics into the first run's and report the sum.
+        wl = Workload.from_flit_load(0.05, 16)
+        cfg = SimConfig(warmup_cycles=200, measure_cycles=800, seed=3)
+        sim = BufferedWormholeSimulator(bft16, wl, cfg)
+        first = sim.run()
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run()
+        assert first == BufferedWormholeSimulator(bft16, wl, cfg).run()
 
 
 class TestDateline:

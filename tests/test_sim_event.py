@@ -15,6 +15,7 @@ from repro import (
     simulate,
 )
 from repro.core.rates import bft_channel_rates
+from repro.errors import SimulationError
 from repro.simulation.wormhole_sim import EventDrivenWormholeSimulator
 
 
@@ -162,6 +163,17 @@ class TestDeterminism:
         r2 = simulate(bft64, wl, cfg)
         assert r1.latency_mean == r2.latency_mean
         assert r1.tagged_delivered == r2.tagged_delivered
+
+    def test_second_run_raises(self, bft16):
+        # One instance accumulates one run: a second call would merge its
+        # statistics into the first run's and report the sum.
+        wl = Workload.from_flit_load(0.05, 16)
+        cfg = SimConfig(warmup_cycles=200, measure_cycles=800, seed=3)
+        sim = EventDrivenWormholeSimulator(bft16, wl, cfg)
+        first = sim.run()
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run()
+        assert first == EventDrivenWormholeSimulator(bft16, wl, cfg).run()
 
     def test_different_seeds_differ(self, bft64):
         wl = Workload.from_flit_load(0.08, 16)

@@ -12,6 +12,8 @@ from repro import (
     simulate,
     simulate_flit_level,
 )
+from repro.errors import SimulationError
+from repro.simulation.flit_sim import FlitLevelWormholeSimulator
 from repro.simulation.traffic import poisson_trace
 
 
@@ -124,6 +126,17 @@ class TestFlitDeterminism:
         r1 = simulate_flit_level(bft16, wl, cfg)
         r2 = simulate_flit_level(bft16, wl, cfg)
         assert r1.latency_mean == r2.latency_mean
+
+    def test_second_run_raises(self, bft16):
+        # One instance accumulates one run: a second call would merge its
+        # statistics into the first run's and report the sum.
+        wl = Workload.from_flit_load(0.05, 16)
+        cfg = SimConfig(warmup_cycles=200, measure_cycles=800, seed=3)
+        sim = FlitLevelWormholeSimulator(bft16, wl, cfg)
+        first = sim.run()
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run()
+        assert first == FlitLevelWormholeSimulator(bft16, wl, cfg).run()
 
     def test_poisson_traffic_supported_directly(self, bft16):
         # Without an explicit trace the flit simulator floors the Poisson
