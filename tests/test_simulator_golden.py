@@ -193,7 +193,8 @@ def test_fixture_covers_every_case_and_field(golden):
 
 
 def test_fixture_exercises_contention(golden):
-    """The cases are loaded enough that arbitration decides trajectories."""
+    """Every case delivers enough tagged messages, at varying latencies,
+    for contention to shape the recorded statistics."""
     for name, stored in golden.items():
         assert stored["tagged_delivered"] > 50, name
         latency = float.fromhex(stored["latency_max"])
