@@ -2,43 +2,50 @@
 """Apply the general wormhole model to other networks (Section 2's framework).
 
 The paper's abstract: "These ideas can also be applied to other networks."
-This example instantiates the general channel-graph solver on a binary
-hypercube, compares it with the Draper–Ghosh-style prior-art baseline and
-with simulation, and prints the Dally k-ary n-cube baseline for reference.
+This example asks the binary hypercube family for the general channel-graph
+model, compares it with the Draper–Ghosh-style prior-art baseline and with
+simulation, and prints the Dally k-ary n-cube baseline for reference.  Every
+answer is one declarative ``Scenario`` run through the facade.
 
 Run:  python examples/general_networks.py
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from repro import Hypercube, SimConfig, Workload, simulate
-from repro.baselines import DallyKaryNCubeModel, DraperGhoshHypercubeModel
-from repro.core.throughput import saturation_injection_rate
+from repro import Scenario, run
 from repro.util.tables import format_table
 
 
 def main() -> None:
-    dimension = 6
     flits = 32
-    general = DraperGhoshHypercubeModel(dimension, corrected=True)
-    baseline = DraperGhoshHypercubeModel(dimension, corrected=False)
-    topo = Hypercube(dimension)
-
-    sat = saturation_injection_rate(general, flits).flit_load
+    hypercube = Scenario(
+        topology="hypercube", num_processors=64, message_flits=flits, sweep_points=0
+    )
+    sat = run(hypercube).metrics["saturation"]["flit_load"]
     rows = []
     for load in np.linspace(0.1 * sat, 0.85 * sat, 6):
-        wl = Workload.from_flit_load(float(load), flits)
-        res = simulate(
-            topo, wl, SimConfig(warmup_cycles=2_000, measure_cycles=8_000, seed=11)
-        )
+        point = dataclasses.replace(hypercube, flit_load=float(load))
+        simulated = run(
+            dataclasses.replace(
+                point,
+                backend="simulate",
+                replications=1,
+                warmup_cycles=2_000,
+                measure_cycles=8_000,
+                seed=11,
+            )
+        ).metrics["point"]
+        baseline = run(point.with_backend("baseline")).metrics["point"]
         rows.append(
             (
                 float(load),
-                res.latency_mean,
-                general.latency(wl),
-                baseline.latency(wl),
+                simulated["latency"],
+                simulated["model_prediction"],
+                baseline["latency"],
             )
         )
     print(
@@ -55,15 +62,22 @@ def main() -> None:
         "upward, eventually predicting saturation where none exists.\n"
     )
 
-    dally = DallyKaryNCubeModel(8, 2)
-    print(dally.describe())
+    loads = (0.01, 0.05, 0.1, 0.2)
+    torus = run(
+        Scenario(
+            topology="kary-ncube",
+            num_processors=64,
+            radix=8,
+            message_flits=flits,
+            flit_loads=loads,
+        )
+    ).metrics
+    params = ", ".join(f"{k}={v}" for k, v in torus["family"]["params"].items())
+    print(f"{torus['family']['name']} ({params}): {torus['variant']} model")
     print(
         format_table(
             ["load (fl/cyc/PE)", "Dally model latency"],
-            [
-                (x, dally.latency_at_flit_load(x, flits))
-                for x in (0.01, 0.05, 0.1, 0.2)
-            ],
+            list(zip(loads, torus["curve"]["latencies"])),
             title="Dally baseline on the unidirectional 8-ary 2-cube",
         )
     )

@@ -122,7 +122,7 @@ from .traffic import (
     pattern_descriptions,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "SimConfig",

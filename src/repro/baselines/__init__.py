@@ -3,9 +3,9 @@
 * :class:`DallyKaryNCubeModel` — Dally-style analysis of unidirectional
   k-ary n-cubes (deterministic routing, per-channel M/G/1 contention, no
   wormhole blocking correction);
-* :class:`DraperGhoshHypercubeModel` — Draper–Ghosh-style hypercube
-  analysis (the recursion the paper generalises, without the paper's
-  blocking correction);
+* :func:`draper_ghosh_variant` — the switches of the Draper–Ghosh-style
+  hypercube analysis (the recursion the paper generalises, without the
+  paper's blocking correction), the hypercube family's ``baseline``;
 * :func:`naive_bft_model` — the butterfly fat-tree model with both of the
   paper's novelties (multi-server queues, blocking correction) disabled.
 """
@@ -13,11 +13,10 @@
 from ..core.bft_model import ButterflyFatTreeModel
 from ..core.variants import ModelVariant
 from .dally import DallyKaryNCubeModel
-from .draper_ghosh import DraperGhoshHypercubeModel, draper_ghosh_variant
+from .draper_ghosh import draper_ghosh_variant
 
 __all__ = [
     "DallyKaryNCubeModel",
-    "DraperGhoshHypercubeModel",
     "draper_ghosh_variant",
     "naive_bft_model",
 ]

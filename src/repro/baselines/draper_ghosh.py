@@ -1,4 +1,4 @@
-"""Draper–Ghosh-style hypercube model (baseline).
+"""Draper–Ghosh-style hypercube analysis (baseline).
 
 Draper & Ghosh (JPDC 23:202-214, 1994) analysed wormhole routing on binary
 hypercubes with an iterative M/G/1 scheme working backwards from the
@@ -7,94 +7,32 @@ the fat-tree paper adopts as its Eq. 5.  What the fat-tree paper *adds* on
 top of that style of analysis are the multi-server channels and the
 ``P_{i|j}`` blocking correction.
 
-This module therefore provides a faithful *style* reconstruction of the
-prior art as a baseline: the general channel-graph recursion of Section 2
-instantiated on the hypercube with
+The hypercube design family prices this prior art as its ``baseline``:
+the general channel-graph recursion of Section 2 on the hypercube with
 
 * single-server M/G/1 waits at every channel (the hypercube has no
   redundant links, so the multi-server ingredient never applies), and
 * **no** blocking-probability correction (``P_{i|j} = 1``), since that
   correction is the fat-tree paper's contribution.
 
-Comparing this baseline to the corrected model and to simulation (see
-``benchmarks/bench_other_networks.py``) quantifies the value of the
-correction on a second network family.
+``repro experiment other-networks`` compares it with the corrected model
+and with simulation, which quantifies the value of the correction on a
+second network family.
 """
 
 from __future__ import annotations
 
-from ..config import Workload
-from ..core.generic_model import ChannelGraphModel, hypercube_stage_graph
 from ..core.variants import ModelVariant
-from ..errors import ConfigurationError
 from ..queueing.distributions import ScvMode
 
-__all__ = ["DraperGhoshHypercubeModel", "draper_ghosh_variant"]
+__all__ = ["draper_ghosh_variant"]
 
 
-def draper_ghosh_variant(*, corrected: bool = False) -> ModelVariant:
-    """The approximation switches of the Draper–Ghosh-style analysis.
-
-    ``corrected=True`` keeps the Draper–Ghosh recursion but adds the
-    fat-tree paper's blocking correction — the *improved* Section-2 model
-    on the hypercube.  Shared by :class:`DraperGhoshHypercubeModel` and the
-    design-family baseline hooks, so every entry point labels the same
-    switches the same way.
-    """
+def draper_ghosh_variant() -> ModelVariant:
+    """The approximation switches of the Draper–Ghosh-style analysis."""
     return ModelVariant(
-        label="general-model" if corrected else "draper-ghosh-style",
+        label="draper-ghosh-style",
         multiserver_up=True,  # irrelevant on the hypercube (no pairs)
-        blocking_correction=corrected,
+        blocking_correction=False,
         scv_mode=ScvMode.DRAPER_GHOSH,
     )
-
-
-class DraperGhoshHypercubeModel:
-    """Prior-art-style analytical model of a binary hypercube.
-
-    Parameters
-    ----------
-    dimension:
-        Cube dimension ``d`` (``N = 2**d`` nodes).
-    corrected:
-        When True, applies the fat-tree paper's blocking correction on top
-        of the Draper–Ghosh recursion — i.e. the *improved* general model
-        of Section 2 applied to the hypercube.  Default False (pure
-        baseline).
-    """
-
-    def __init__(self, dimension: int, *, corrected: bool = False) -> None:
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ConfigurationError(f"dimension must be a positive integer, got {dimension!r}")
-        self.dimension = dimension
-        self.num_processors = 1 << dimension
-        self.corrected = corrected
-        self.variant = draper_ghosh_variant(corrected=corrected)
-
-    def _graph(self, workload: Workload) -> ChannelGraphModel:
-        return hypercube_stage_graph(self.dimension, workload, self.variant)
-
-    def latency(self, workload: Workload) -> float:
-        """Average message latency in cycles (``inf`` past saturation)."""
-        return self._graph(workload).latency()
-
-    def latency_at_flit_load(self, flit_load: float, message_flits: int) -> float:
-        """Latency with load expressed in flits/cycle/PE."""
-        return self.latency(Workload.from_flit_load(flit_load, message_flits))
-
-    def is_stable(self, workload: Workload) -> bool:
-        """Eq. 26-style stability test on the injection channel."""
-        graph = self._graph(workload)
-        service = graph.injection_service()
-        import math
-
-        if not math.isfinite(service):
-            return False
-        return workload.injection_rate * service < 1.0
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"DraperGhoshHypercubeModel(d={self.dimension}, N={self.num_processors}, "
-            f"corrected={self.corrected})"
-        )

@@ -71,15 +71,18 @@ __all__ = ["main", "build_parser"]
 _EXPERIMENTS = {
     "fig3": "run_fig3",
     "throughput": "run_throughput_table",
-    "scaling": "run_scaling",
     "ablations": "run_ablations",
-    "other-networks": "run_other_networks",
     "validate": "run_validation",
-    "generalized": "run_generalized",
     "buffering": "run_buffering",
     "service-times": "run_service_times",
     "design": "run_design_exploration",
     "faults": "run_fault_degradation",
+}
+#: Experiments that are validation cell lists, rendered by ``run_validation``.
+_CELL_LISTS = {
+    "scaling": "scaling_cells",
+    "generalized": "generalized_cells",
+    "other-networks": "other_networks_cells",
 }
 
 
@@ -469,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    p_exp.add_argument("name", choices=sorted(_EXPERIMENTS))
+    p_exp.add_argument("name", choices=sorted({**_EXPERIMENTS, **_CELL_LISTS}))
     p_exp.add_argument(
         "--full", action="store_true", help="paper-scale grids and windows"
     )
@@ -937,12 +940,16 @@ def _cmd_experiment(args):
 
     from . import experiments
 
-    runner = getattr(experiments, _EXPERIMENTS[args.name])
     previous = os.environ.get("REPRO_FULL")
     if args.full:
         os.environ["REPRO_FULL"] = "1"
     try:
-        text = runner().render()
+        if args.name in _CELL_LISTS:
+            cells = getattr(experiments, _CELL_LISTS[args.name])()
+            result = experiments.run_validation(cells=cells)
+        else:
+            result = getattr(experiments, _EXPERIMENTS[args.name])()
+        text = result.render()
     finally:
         if previous is None:
             os.environ.pop("REPRO_FULL", None)

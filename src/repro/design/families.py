@@ -378,7 +378,7 @@ class _HypercubeFamily(DesignFamily):
     def prior_art_variant(self):
         from ..baselines.draper_ghosh import draper_ghosh_variant
 
-        return draper_ghosh_variant(corrected=False)
+        return draper_ghosh_variant()
 
     def sizes_to_params(self, num_processors: int) -> dict[str, int] | None:
         if num_processors < 2:

@@ -3,16 +3,20 @@
 * :mod:`repro.experiments.fig3` — Figure 3 (latency vs load, N=1024);
 * :mod:`repro.experiments.throughput_table` — saturation throughput table
   (Sections 3.5/3.6);
-* :mod:`repro.experiments.scaling` — network-size sweep ("up to 1024
-  processing nodes");
 * :mod:`repro.experiments.ablations` — model-variant ablations (the two
   novelties + modelling choices);
-* :mod:`repro.experiments.other_networks` — the general model on the
-  hypercube plus the Dally torus baseline;
-* :mod:`repro.experiments.validate` — the model against the simulators
-  over one cell list: every topology family through the
-  model/baseline/simulate backends of the facade, non-uniform traffic
-  (hotspot, transpose, ...) and event-driven vs flit-level simulation;
+* :mod:`repro.experiments.validate` — the model against the simulators,
+  one table per cell list, every cell through the batch/baseline/simulate
+  backends of the facade: :func:`default_cells` (every topology family,
+  non-uniform traffic, event-driven vs flit-level simulation),
+  :func:`scaling_cells` (network sizes "up to 1024 processing nodes"),
+  :func:`generalized_cells` ((c, p) fat-trees with M/G/p up channels)
+  and :func:`other_networks_cells` (the general model on the hypercube
+  against the Draper–Ghosh-style baseline, the Dally torus at low load);
+* :mod:`repro.experiments.buffering` — Figure 3's sensitivity to router
+  buffer depth (the input-buffered simulator);
+* :mod:`repro.experiments.service_times` — per-channel service times and
+  Eq. 14 arrival rates, model internals against simulation;
 * :mod:`repro.experiments.design_exploration` — SLO-driven sizing of a
   CM-5-class machine through the design-space explorer;
 * :mod:`repro.experiments.faults` — degraded-mode curves: per-family
@@ -36,10 +40,7 @@ from .faults import (
     run_fault_degradation,
 )
 from .fig3 import Fig3Result, run_fig3
-from .generalized import GeneralizedResult, run_generalized
-from .other_networks import OtherNetworksResult, run_other_networks
 from .report import default_results_dir, write_report
-from .scaling import ScalingResult, run_scaling
 from .service_times import ServiceTimeResult, run_service_times
 from .throughput_table import ThroughputResult, run_throughput_table
 from .validate import (
@@ -47,7 +48,10 @@ from .validate import (
     ValidationResult,
     ValidationRow,
     default_cells,
+    generalized_cells,
+    other_networks_cells,
     run_validation,
+    scaling_cells,
 )
 
 __all__ = [
@@ -67,14 +71,8 @@ __all__ = [
     "run_fault_degradation",
     "Fig3Result",
     "run_fig3",
-    "GeneralizedResult",
-    "run_generalized",
-    "OtherNetworksResult",
-    "run_other_networks",
     "default_results_dir",
     "write_report",
-    "ScalingResult",
-    "run_scaling",
     "ServiceTimeResult",
     "run_service_times",
     "ThroughputResult",
@@ -83,5 +81,8 @@ __all__ = [
     "ValidationResult",
     "ValidationRow",
     "default_cells",
+    "scaling_cells",
+    "generalized_cells",
+    "other_networks_cells",
     "run_validation",
 ]

@@ -11,6 +11,12 @@ import pytest
 from repro import ButterflyFatTree, Hypercube, KaryNCube, SimConfig, Workload
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: end-to-end runs of the example scripts (seconds each)"
+    )
+
+
 @pytest.fixture(scope="session")
 def bft16() -> ButterflyFatTree:
     return ButterflyFatTree(16)

@@ -17,9 +17,10 @@ from repro import (
 )
 from repro.baselines import (
     DallyKaryNCubeModel,
-    DraperGhoshHypercubeModel,
     naive_bft_model,
 )
+from repro.design.evaluate import point_latency
+from repro.design.families import design_family
 from repro.topology.properties import kary_ncube_average_distance
 
 
@@ -76,19 +77,26 @@ class TestDally:
         assert "k=8" in DallyKaryNCubeModel(8, 2).describe()
 
 
+def _hypercube(dimension: int, flits: int, *, baseline: bool):
+    """The hypercube family's model: Draper–Ghosh-style when ``baseline``."""
+    return design_family("hypercube").evaluator(
+        {"dimension": dimension}, None, flits, baseline=baseline
+    )
+
+
 class TestDraperGhosh:
     def test_zero_load_matches_general(self):
         wl = Workload(16, 0.0)
-        dg = DraperGhoshHypercubeModel(5)
-        gen = DraperGhoshHypercubeModel(5, corrected=True)
-        assert dg.latency(wl) == pytest.approx(gen.latency(wl))
+        dg = point_latency(_hypercube(5, 16, baseline=True), wl)
+        gen = point_latency(_hypercube(5, 16, baseline=False), wl)
+        assert dg == pytest.approx(gen)
 
     def test_uncorrected_overestimates(self):
         # Without the blocking correction every hop charges the full queue
         # wait, so the baseline's latency must exceed the corrected model's.
         wl = Workload.from_flit_load(0.2, 32)
-        dg = DraperGhoshHypercubeModel(6).latency(wl)
-        gen = DraperGhoshHypercubeModel(6, corrected=True).latency(wl)
+        dg = point_latency(_hypercube(6, 32, baseline=True), wl)
+        gen = point_latency(_hypercube(6, 32, baseline=False), wl)
         assert dg > gen
 
     def test_corrected_tracks_simulation(self, cube6):
@@ -96,8 +104,8 @@ class TestDraperGhosh:
         res = simulate(
             cube6, wl, SimConfig(warmup_cycles=1500, measure_cycles=8000, seed=4)
         )
-        gen = DraperGhoshHypercubeModel(6, corrected=True)
-        assert gen.latency(wl) == pytest.approx(res.latency_mean, rel=0.08)
+        gen = point_latency(_hypercube(6, 32, baseline=False), wl)
+        assert gen == pytest.approx(res.latency_mean, rel=0.08)
 
     def test_correction_improves_accuracy(self, cube6):
         """The paper's blocking correction must reduce the error against
@@ -107,23 +115,13 @@ class TestDraperGhosh:
         res = simulate(
             cube6, wl, SimConfig(warmup_cycles=1500, measure_cycles=8000, seed=5)
         )
-        err_base = abs(DraperGhoshHypercubeModel(6).latency(wl) - res.latency_mean)
+        err_base = abs(
+            point_latency(_hypercube(6, 32, baseline=True), wl) - res.latency_mean
+        )
         err_gen = abs(
-            DraperGhoshHypercubeModel(6, corrected=True).latency(wl) - res.latency_mean
+            point_latency(_hypercube(6, 32, baseline=False), wl) - res.latency_mean
         )
         assert err_gen < err_base
-
-    def test_stability_predicate(self):
-        m = DraperGhoshHypercubeModel(5)
-        assert m.is_stable(Workload.from_flit_load(0.05, 16))
-        assert not m.is_stable(Workload.from_flit_load(5.0, 16))
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ConfigurationError):
-            DraperGhoshHypercubeModel(0)
-
-    def test_describe(self):
-        assert "corrected=False" in DraperGhoshHypercubeModel(4).describe()
 
 
 class TestNaiveBft:

@@ -46,6 +46,9 @@ class TestParser:
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "fig3"])
         assert args.name == "fig3"
+        # 6.0.0: these three are validation cell lists under their old names.
+        for name in ("scaling", "generalized", "other-networks"):
+            assert build_parser().parse_args(["experiment", name]).name == name
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "nope"])
 
@@ -243,6 +246,28 @@ class TestCommands:
             assert main(["experiment", "validate", "--full"]) == 0
             assert dict(os.environ) == before
         assert seen == ["1", "1"]
+        assert capsys.readouterr().out == "stub\nstub\n"
+
+    def test_cell_list_experiments_render_their_cells(self, monkeypatch, capsys):
+        from repro import experiments
+
+        seen = []
+
+        class _Stub:
+            def render(self):
+                return "stub"
+
+        def stub_runner(*, cells):
+            seen.append(cells)
+            return _Stub()
+
+        monkeypatch.setattr(experiments, "run_validation", stub_runner)
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        assert main(["experiment", "generalized"]) == 0
+        assert main(["experiment", "scaling", "--full"]) == 0
+        assert seen[0] == experiments.generalized_cells()
+        # The list is built inside --full: paper scale reaches 1024 PEs.
+        assert seen[1][-1].scenario.num_processors == 1024
         assert capsys.readouterr().out == "stub\nstub\n"
 
     def test_patterns_lists_registry(self, capsys):

@@ -10,19 +10,23 @@ from repro.experiments import (
     ExperimentMode,
     default_cells,
     full_mode,
+    generalized_cells,
     mode,
+    other_networks_cells,
     relative_error,
     run_ablations,
     run_fig3,
-    run_other_networks,
-    run_scaling,
     run_throughput_table,
     run_validation,
+    scaling_cells,
     write_report,
 )
 from repro.core.variants import ModelVariant
+from repro.errors import ConfigurationError
+from repro.experiments import validate
 
 TINY = ExperimentMode(full=False)
+FULL = ExperimentMode(full=True)
 
 
 class TestCommon:
@@ -86,14 +90,27 @@ class TestThroughputTable:
 
 
 class TestScaling:
+    def test_cells(self):
+        cells = scaling_cells(TINY)
+        assert [
+            (c.scenario.num_processors, c.load_fraction, c.scenario.seed)
+            for c in cells
+        ] == [(n, f, 31 + n) for n in (16, 64, 256) for f in (0.05, 0.4, 0.75)]
+        for c in cells:
+            assert c.scenario.topology == "bft"
+            assert c.scenario.message_flits == 32
+            assert c.simulators == ("event",)
+        assert [c.scenario.num_processors for c in scaling_cells(FULL)][-1] == 1024
+
     def test_small_instance(self):
-        res = run_scaling(sizes=(16, 64), experiment_mode=TINY)
+        cells = [c for c in scaling_cells(TINY) if c.scenario.num_processors <= 64]
+        res = run_validation(cells=cells, experiment_mode=TINY)
         assert len(res.rows) == 6
-        finite = [r for r in res.rows if math.isfinite(r.sim_latency)]
+        finite = [r for r in res.rows if math.isfinite(r.reference_latency)]
         assert len(finite) == 6
         for r in finite:
-            assert abs(r.rel_err) < 0.12
-        assert "Scaling" in res.render()
+            assert abs(r.model_err) < 0.12
+        assert "bft" in res.render()
 
 
 class TestAblations:
@@ -121,16 +138,47 @@ class TestAblations:
 
 
 class TestOtherNetworks:
+    def test_cells(self):
+        cells = other_networks_cells(TINY)
+        hypercube = [c for c in cells if c.scenario.topology == "hypercube"]
+        torus = [c for c in cells if c.scenario.topology == "kary-ncube"]
+        assert len(cells) == len(hypercube) + len(torus) == 8
+        assert {c.scenario.num_processors for c in hypercube} == {64}
+        assert [c.load_fraction for c in hypercube] == pytest.approx(
+            [0.1, 0.275, 0.45, 0.625, 0.8]
+        )
+        assert {c.scenario.seed for c in hypercube} == {55}
+        assert [c.load_fraction for c in torus] == [0.0175, 0.035, 0.07]
+        assert {
+            (c.scenario.num_processors, c.scenario.radix, c.scenario.seed)
+            for c in torus
+        } == {(64, 8, 56)}
+        assert all(c.simulators == ("event",) for c in cells)
+        assert all(c.scenario.message_flits == 32 for c in cells)
+        full = other_networks_cells(FULL)
+        assert sum(c.scenario.num_processors == 256 for c in full) == 8
+
     def test_general_model_beats_baseline(self):
-        res = run_other_networks(dimension=5, experiment_mode=TINY)
-        gen_errs = [abs(r.general_err) for r in res.hypercube_rows if math.isfinite(r.general_err)]
-        base_errs = [abs(r.baseline_err) for r in res.hypercube_rows if math.isfinite(r.baseline_err)]
+        cells = [
+            c for c in other_networks_cells(TINY) if c.scenario.topology == "hypercube"
+        ]
+        res = run_validation(cells=cells, experiment_mode=TINY)
+        gen_errs = [abs(r.model_err) for r in res.rows if math.isfinite(r.model_err)]
+        base_errs = [abs(r.baseline_err) for r in res.rows if math.isfinite(r.baseline_err)]
         assert sum(gen_errs) < sum(base_errs)
         assert "hypercube" in res.render()
 
     def test_torus_rows_present(self):
-        res = run_other_networks(dimension=5, experiment_mode=TINY)
-        assert len(res.torus_rows) == 3
+        cells = [
+            c for c in other_networks_cells(TINY) if c.scenario.topology == "kary-ncube"
+        ]
+        res = run_validation(cells=cells, experiment_mode=TINY)
+        assert len(res.rows) == 3
+        # Dally's analysis is both the model and the prior art of the torus.
+        assert all(r.model_latency == r.baseline_latency for r in res.rows)
+        # 0.0175 of the Eq. 26 saturation (2/7 for 32-flit worms) is 0.005.
+        assert res.rows[0].scenario.flit_load == pytest.approx(0.005, rel=1e-6)
+        assert "k=8" in res.render()
 
 
 class TestValidation:
@@ -177,3 +225,57 @@ class TestValidation:
         assert all(math.isfinite(lat) for lat in bft.sim_latency.values())
         assert abs(bft.error(bft.sim_latency["flit"])) < 0.05
         assert "flit err" in res.render()
+
+    def test_cell_without_a_simulator_is_rejected(self):
+        scenario = default_cells(TINY)[0].scenario
+        with pytest.raises(ConfigurationError):
+            validate.ValidationCell(scenario, simulators=())
+
+    def test_cells_run_no_model_backend(self, monkeypatch):
+        # The simulate record carries the model prediction, so a cell is
+        # one batch probe, one baseline run and one run per simulator.
+        backends = []
+
+        class Recording(validate.Runner):
+            def run(self, scenario):
+                backends.append(scenario.backend)
+                return super().run(scenario)
+
+        monkeypatch.setattr(validate, "Runner", Recording)
+        cells = [default_cells(TINY)[0]]
+        assert cells[0].simulators == ("event", "flit")
+        run_validation(cells=cells, experiment_mode=TINY)
+        assert backends == ["batch", "baseline", "simulate", "simulate"]
+
+    def test_shape_column_tells_shapes_apart(self):
+        from repro.runs import Scenario
+
+        cells = [
+            c for c in generalized_cells(TINY)
+            if c.load_fraction == 0.3 and c.scenario.num_processors == 64
+        ]
+        res = validate.ValidationResult(
+            rows=tuple(
+                validate.ValidationRow(
+                    scenario=c.scenario,
+                    load_fraction=c.load_fraction,
+                    saturation_flit_load=1.0,
+                    model_latency=1.0,
+                    baseline_latency=1.0,
+                    sim_latency={"event": 1.0},
+                )
+                for c in cells
+            ),
+            mode_label="quick",
+        )
+        lines = res.render().splitlines()
+        assert "torus" not in lines[0]
+        assert lines[1].split(" | ")[2].strip() == "shape"
+        body = lines[3:]
+        assert len(body) == len(set(body)) == 4
+        for shape in ("(4,2)", "(4,3)", "(4,4)", "(8,2)"):
+            assert sum(shape in line for line in body) == 1
+        torus = Scenario(topology="kary-ncube", num_processors=64, radix=8)
+        assert validate._shape(torus) == "k=8"
+        assert validate._shape(cells[0].scenario) == "(4,2)"
+        assert validate._shape(Scenario(topology="bft", num_processors=64)) is None

@@ -136,7 +136,7 @@ class TestSimulateCrosscheck:
     Fat-trees and the hypercube are checked at *half saturation*.  The
     torus runs at 10% of saturation: wormhole rings deadlock without
     virtual channels (Dally & Seitz 1987), which the simulators do not
-    model — the same restriction the other-networks experiment applies.
+    model — the same restriction the validation's torus cells apply.
     """
 
     @pytest.mark.parametrize(
