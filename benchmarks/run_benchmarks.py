@@ -16,10 +16,10 @@ runs and diff with ``repro runs diff <id-or-latest> benchmarks/BENCH_perf.json``
 CI smoke runs; pair it with ``--output`` to keep the committed baseline
 untouched.
 
-``--check BASELINE`` gates the deterministic solver counters
-(``solve.batch``, ``solve.points``, ``fixed_point.*``, ``design.solves``)
-against an earlier report: any increase in any bench exits 1.  Wall time
-is not gated here (``perfbench/`` judges it).  A baseline must have been
+``--check BASELINE`` gates the deterministic work counters
+(``solve.batch``, ``solve.points``, ``fixed_point.*``, ``design.solves``,
+``flows.traces``) against an earlier report: any increase in any bench
+exits 1.  Wall time is not gated here (``perfbench/`` judges it).  A baseline must have been
 recorded in the same mode, so ``--quick`` runs check against the committed
 ``benchmarks/BENCH_quick.json``:
 
@@ -29,8 +29,9 @@ recorded in the same mode, so ``--quick`` runs check against the committed
 The solver benches time a 64-point N=1024 load sweep solved in one
 ``latency_batch`` pass, the vectorized Eq. 26 saturation search and the
 design-space explorer's candidate throughput (candidates evaluated per
-second, cold metrics cache).  ``stage_graph_wide_1pt`` / ``_256pt`` time
-``stability_batch`` on two wide pattern graphs (the 512-stage hotspot
+second, cold metrics cache); ``design_explore_faults`` prices the same
+space under one seeded link failure.  ``stage_graph_wide_1pt`` /
+``_256pt`` time ``stability_batch`` on two wide pattern graphs (the 512-stage hotspot
 hypercube and the 816-stage transpose fat-tree) at 1 and 256 points, which
 separates the stage graph's per-stage cost from its per-point cost.  That
 the batch sweep equals a scalar ``latency`` loop bit-for-bit, and that the
@@ -72,8 +73,13 @@ from repro.design import (
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_perf.json"
 
 #: Counters a code change may not increase (``--check``): they count solver
-#: work, and a given bench does the same work on every run.
-DETERMINISTIC_COUNTERS = ("solve.batch", "solve.points", "design.solves")
+#: work and flow traces, and a given bench does the same work on every run.
+DETERMINISTIC_COUNTERS = (
+    "solve.batch",
+    "solve.points",
+    "design.solves",
+    "flows.traces",
+)
 DETERMINISTIC_PREFIX = "fixed_point."
 
 
@@ -187,6 +193,27 @@ def bench_design_explore(cfg: BenchConfig) -> Callable[[], object]:
     return run
 
 
+def bench_design_explore_faults(cfg: BenchConfig) -> Callable[[], object]:
+    """The explorer bench's space priced under one seeded link failure.
+
+    Cold metrics cache each run, as in ``design_explore``.  Fault seed 2
+    partitions the 16-PE fat-tree and the hypercube but not the 64-PE
+    fat-tree, so a run asks both kinds of fault-masked flow question; the
+    flows cache answers both (a partition verdict included), so the
+    instrumented pass traces nothing (``flows.traces`` 0).
+    """
+    space = design_space_for(cfg)
+    requirements = Requirements(
+        demand_flit_load=0.02, latency_slo=75.0, survives_faults=1, fault_seed=2
+    )
+
+    def run() -> object:
+        clear_metrics_cache()
+        return explore(space, requirements)
+
+    return run
+
+
 def bench_serve_cold_solve(cfg: BenchConfig) -> Callable[[], object]:
     """A fresh solve of the service's bench scenario (the cache-miss cost)."""
     import bench_serve
@@ -230,6 +257,7 @@ BENCHES: dict[str, Callable[[BenchConfig], Callable[[], object]]] = {
     "stage_graph_wide_256pt": bench_stage_graph_wide_256pt,
     "topology_build": bench_topology_build,
     "design_explore": bench_design_explore,
+    "design_explore_faults": bench_design_explore_faults,
     "serve_cold_solve": bench_serve_cold_solve,
     "serve_cached_lookup": bench_serve_cached_lookup,
     "registry_query_indexed": bench_registry_query_indexed,
@@ -274,7 +302,15 @@ def collect(*, repeats: int | None = None, quick: bool = False) -> dict:
             key: counters[key]
             for key in sorted(counters)
             if key.startswith(
-                ("solve.", "fixed_point.", "design.", "serve.", "index.", "registry.")
+                (
+                    "solve.",
+                    "fixed_point.",
+                    "design.",
+                    "flows.",
+                    "serve.",
+                    "index.",
+                    "registry.",
+                )
             )
         }
         benches[name] = entry

@@ -103,8 +103,7 @@ _SATURATION_CACHE: dict[tuple, tuple[float, float]] = {}
 #: Demand-dependent memo: (model key, demand) -> latency at that demand.
 _LATENCY_CACHE: dict[tuple, float] = {}
 #: Degraded-mode memo: (model key, faults) -> (zero_load, saturation),
-#: or None when the faults partition that candidate's network (so repeat
-#: explorations do not re-trace flows just to re-raise).
+#: or None when the faults partition that candidate's network.
 _FAULT_SATURATION_CACHE: dict[tuple, tuple[float, float] | None] = {}
 #: Degraded-mode latency memo: ((model key, faults), demand) -> latency.
 _FAULT_LATENCY_CACHE: dict[tuple, float] = {}
@@ -195,9 +194,12 @@ def faulted_metrics_for(
     demand point; returns ``None`` when ``faults`` partition the network.
     Memoized like the nominal path — per ``(model, faults)`` for the
     demand-independent half and per demand for the latency — including the
-    partitioned verdict, so repeated explorations never re-trace flows
-    just to rediscover a disconnection.  ``faults`` must be a hashable
-    :class:`~repro.faults.FaultSpec`.
+    partitioned verdict.  This memo is per message length and dropped by
+    :func:`clear_metrics_cache`; the fault-masked flows cache under
+    :meth:`~repro.design.families.DesignFamily.evaluator` keeps the
+    partition verdict per (assignment, spec, faults) across both, so a
+    disconnection is traced once however it is asked again.  ``faults``
+    must be a hashable :class:`~repro.faults.FaultSpec`.
     """
     _check_demand(demand_flit_load)
     mk = (_model_key(candidate), faults)

@@ -49,7 +49,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from ..config import Workload
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, PartitionedNetworkError
+from ..obs.metrics import METRICS
 from ..util.validation import check_power_of
 
 __all__ = [
@@ -158,8 +159,9 @@ class DesignFamily:
         traced with :func:`~repro.traffic.flows.masked_channel_flows`
         under the :func:`~repro.faults.degraded_spec` workload.  Uncached
         (callers may mutate the result); :meth:`evaluator` memoizes it.
-        Raises :class:`~repro.errors.PartitionedNetworkError` when the
-        faults disconnect surviving traffic.
+        Each call counts one ``flows.traces``.  Raises
+        :class:`~repro.errors.PartitionedNetworkError` when the faults
+        disconnect surviving traffic.
         """
         from ..traffic import flows as traffic_flows
         from ..traffic.spec import UniformSpec
@@ -167,6 +169,7 @@ class DesignFamily:
         self.validate(params)
         if not self.supports_patterns:
             self._reject_pattern(spec)
+        METRICS.add("flows.traces")
         topology = self.topology(params)
         if faults is None:
             tracer = getattr(traffic_flows, self.flow_tracer)
@@ -196,7 +199,8 @@ class DesignFamily:
         ``1 / (100 F)``.  ``baseline`` switches in the
         :meth:`prior_art_variant`.  Flows are memoized per
         (assignment, spec) and, separately, per (assignment, spec,
-        faults), so ``spec`` and ``faults`` must be hashable.  Raises
+        faults) — a partition verdict included — so ``spec`` and
+        ``faults`` must be hashable.  Raises
         :class:`ConfigurationError` for a pattern on a family without a
         pattern-aware model, and
         :class:`~repro.errors.PartitionedNetworkError` when the faults
@@ -217,6 +221,10 @@ class DesignFamily:
             flows = _cached_flows(*key)
         else:
             flows = _cached_masked_flows(*key, faults)
+            if isinstance(flows, str):
+                # A fresh exception per ask: re-raising one shared
+                # instance would grow its traceback on every raise.
+                raise PartitionedNetworkError(flows)
         return stage_graph_from_flows(
             flows, _reference_workload(message_flits), variant
         )
@@ -262,8 +270,12 @@ def _reference_workload(message_flits: int) -> Workload:
 # explorer caches ChannelFlows per (size, spec) — the message-length axis of
 # a design space then reuses one propagation.  Fault-masked flows live in a
 # cache of their own, so a stream of fault sets never evicts the fault-free
-# entries.  TrafficSpec and FaultSpec instances are frozen dataclasses,
-# hence usable as cache keys.
+# entries.  That cache also remembers a partition: an lru_cache does not
+# cache a raise, so the verdict is stored as the PartitionedNetworkError's
+# message, and every later ask with the same (size, spec, faults) — at any
+# message length, in any exploration, across clear_metrics_cache() — is
+# answered without tracing again.  TrafficSpec and FaultSpec instances are
+# frozen dataclasses, hence usable as cache keys.
 
 
 @lru_cache(maxsize=128)
@@ -275,7 +287,11 @@ def _cached_flows(family: str, params_items: tuple[tuple[str, int], ...], spec):
 def _cached_masked_flows(
     family: str, params_items: tuple[tuple[str, int], ...], spec, faults
 ):
-    return design_family(family).flows(dict(params_items), spec, faults)
+    """The masked flows, or the message of the partition they hit."""
+    try:
+        return design_family(family).flows(dict(params_items), spec, faults)
+    except PartitionedNetworkError as exc:
+        return str(exc)
 
 
 class _BftFamily(DesignFamily):

@@ -76,3 +76,30 @@ def test_cli_exits_1_on_a_counter_increase(tmp_path, monkeypatch, capsys):
     assert "solve.points rose from 100 to 101" in capsys.readouterr().out
     path.write_text(json.dumps(run))
     assert run_benchmarks.main(argv + ["--check", str(path)]) == 0
+
+
+def test_flow_traces_are_gated():
+    problems = run_benchmarks.counter_regressions(
+        _report(True, **{"flows.traces": 4}), _report(True)
+    )
+    assert problems == ["design_explore: flows.traces rose from 0 to 4"]
+
+
+def test_faulted_explore_bench_traces_each_question_once():
+    from repro.design import families
+    from repro.obs import METRICS
+
+    families._cached_flows.cache_clear()
+    families._cached_masked_flows.cache_clear()
+    run = run_benchmarks.bench_design_explore_faults(run_benchmarks.BenchConfig.quick())
+    traces = []
+    for _ in range(2):
+        with METRICS.collect() as telemetry:
+            run()
+        traces.append(telemetry.data.get("counters", {}).get("flows.traces", 0))
+    # Cold: three fault-free hotspot traces (the uniform nominal models
+    # are closed forms) and six masked ones, four of which partition
+    # (bft 16 and hypercube 4).  Warm: every answer, each partition
+    # verdict included, comes from the flows caches.
+    assert traces == [9, 0]
+    assert "design_explore_faults" in run_benchmarks.BENCHES

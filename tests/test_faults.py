@@ -206,6 +206,88 @@ class TestMaskedFlows:
             assert got == pytest.approx(want)
 
 
+def _flow_fields(flows) -> dict:
+    """Every ChannelFlows field, floats as their exact bytes."""
+    return {
+        "link_rate": flows.link_rate.tobytes(),
+        "edge_flow": [
+            [(e, rate.hex()) for e, rate in out.items()] for out in flows.edge_flow
+        ],
+        "entry_link": list(flows.entry_link.items()),
+        "source_weight": flows.source_weight.tobytes(),
+        "source_distance": flows.source_distance.tobytes(),
+    }
+
+
+def _single_path_cases() -> list:
+    from repro.topology.kary_ncube import KaryNCube
+    from repro.traffic.spec import BitReversalSpec, TransposeSpec, UniformSpec
+
+    networks = [(f"hypercube-d{d}", lambda d=d: Hypercube(d)) for d in range(2, 7)]
+    networks += [
+        (f"torus-{k}x{n}", lambda k=k, n=n: KaryNCube(k, n))
+        for k, n in ((3, 2), (4, 2), (4, 3))
+    ]
+    specs = (UniformSpec(), TransposeSpec(), HotspotSpec(0.1), BitReversalSpec())
+    cases = []
+    for label, build in networks:
+        n_pes = build().num_processors
+        for spec in specs:
+            try:
+                spec.validate(n_pes)
+            except ConfigurationError:
+                continue  # the pattern does not apply at this size
+            cases.append(pytest.param(build, spec, id=f"{label}-{spec.name}"))
+    return cases
+
+
+class TestTracerAgreement:
+    """The routing-agnostic tracer equals the single-path one bit for bit
+    on every deterministically routed network, so either may stand in for
+    the other."""
+
+    @pytest.mark.parametrize("build,spec", _single_path_cases())
+    def test_masked_equals_single_path(self, build, spec):
+        from repro.traffic.flows import single_path_flows
+
+        topology = build()
+        assert _flow_fields(masked_channel_flows(topology, spec)) == _flow_fields(
+            single_path_flows(topology, spec)
+        )
+
+
+class TestPartitionCache:
+    def test_partition_is_traced_once(self, monkeypatch):
+        import repro.traffic.flows as traffic_flows
+        from repro.design import clear_metrics_cache, design_family
+        from repro.design import families
+
+        families._cached_masked_flows.cache_clear()
+        traced = []
+        real = traffic_flows.masked_channel_flows
+
+        def counting(*args, **kwargs):
+            traced.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(traffic_flows, "masked_channel_flows", counting)
+        # e-cube routing cannot route around router 0's dimension-0 link.
+        faults = FaultSpec(dead_links=("up:1:0",))
+        fam = design_family("hypercube")
+        raised = []
+        for flits in (16, 32, None):
+            if flits is None:
+                clear_metrics_cache()
+                flits = 16
+            with pytest.raises(PartitionedNetworkError) as info:
+                fam.evaluator({"dimension": 2}, None, flits, faults=faults)
+            raised.append(info.value)
+        assert len(traced) == 1
+        assert len({id(exc) for exc in raised}) == 3
+        assert len({str(exc) for exc in raised}) == 1
+        assert "no surviving route" in str(raised[0])
+
+
 class TestFamilyMatrix:
     @pytest.mark.parametrize(
         "shape,dead", FAMILY_MATRIX, ids=[s["topology"] for s, _ in FAMILY_MATRIX]

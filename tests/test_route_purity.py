@@ -1,8 +1,9 @@
 """Routing answers are pure functions of their arguments.
 
 The simulators memoize ``route_options(node, dst)`` and
-``injection_options(src)`` per run (:mod:`repro.simulation.routes`).  That
-is sound only while every :class:`~repro.topology.base.SimTopology` answers
+``injection_options(src)`` per run (:mod:`repro.simulation.routes`), and
+the flow tracers of :mod:`repro.traffic.flows` memoize ``route_options``
+per trace.  That is sound only while every :class:`~repro.topology.base.SimTopology` answers
 the same question the same way whatever it was asked before.  This checks
 it for every registered design family, nominal and behind a
 :class:`~repro.faults.FaultedTopology`: a random batch of questions is
