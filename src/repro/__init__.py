@@ -89,7 +89,6 @@ from .simulation import (
     BufferedWormholeSimulator,
     EventDrivenWormholeSimulator,
     FlitLevelWormholeSimulator,
-    Pattern,
     PoissonTraffic,
     SimulationResult,
     TraceTraffic,
@@ -122,7 +121,7 @@ from .traffic import (
     pattern_descriptions,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "SimConfig",
@@ -194,7 +193,6 @@ __all__ = [
     "BufferedWormholeSimulator",
     "EventDrivenWormholeSimulator",
     "FlitLevelWormholeSimulator",
-    "Pattern",
     "simulate_buffered",
     "PoissonTraffic",
     "SimulationResult",

@@ -155,16 +155,6 @@ class DallyKaryNCubeModel:
         """Contention-free limit ``L + D_bar - 1``."""
         return float(message_flits) + self.average_distance - 1.0
 
-    def saturation_flit_load(self, message_flits: int) -> float:
-        """Closed-form capacity bound in flits/cycle/PE: ``2 / (k - 1)``.
-
-        Independent of message length: channel utilization
-        ``lambda_0 (k-1)/2 * L`` hits one at flit load ``lambda_0 L = 2/(k-1)``.
-        """
-        if message_flits <= 0:
-            raise ConfigurationError("message_flits must be positive")
-        return 2.0 / (self.radix - 1)
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (

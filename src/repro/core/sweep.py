@@ -5,25 +5,19 @@ paper's Figure 3: latency (cycles) sampled over offered load (flits per
 cycle per processor) at a fixed message length.  Sweeps saturate gracefully:
 points past saturation hold ``inf`` and are reported by ``finite_mask``.
 
-:func:`latency_sweep` dispatches on the evaluator it is given: a bound
-``latency`` method of a model exposing ``latency_batch`` (or the model
-itself) is evaluated for the *whole grid in one NumPy pass*; any other
-callable falls back to one call per point, optionally fanned out across
-worker processes (the right mode for simulator-backed sweeps, whose cost
-is per-point, not per-sweep).
+:func:`latency_sweep` evaluates a model's ``latency_batch`` over the
+*whole grid in one NumPy pass*; simulated curves have their own per-point
+fan-out (:func:`repro.simulation.simulated_latency_curve`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..config import Workload
 from ..errors import ConfigurationError
-from ..util.parallel import parallel_map
 from .throughput import saturation_injection_rate
 
 __all__ = [
@@ -77,77 +71,29 @@ class LatencyCurve:
         ]
 
 
-def _sweep_point(
-    flit_load: float, latency_fn: Callable[[Workload], float], message_flits: int
-) -> float:
-    """One scalar sweep evaluation (module-level so it pickles for workers)."""
-    return latency_fn(Workload.from_flit_load(flit_load, message_flits))
-
-
-def _batch_evaluator(latency_fn):
-    """The object whose ``latency_batch`` can evaluate this sweep, or None.
-
-    Batch dispatch applies when the caller hands us either a model object
-    directly or a bound ``latency`` method of a model exposing
-    ``latency_batch`` — anything else (simulator wrappers, ad-hoc lambdas)
-    keeps per-point semantics.
-    """
-    if hasattr(latency_fn, "latency_batch") and hasattr(latency_fn, "latency"):
-        return latency_fn
-    owner = getattr(latency_fn, "__self__", None)
-    if (
-        owner is not None
-        and hasattr(owner, "latency_batch")
-        and getattr(latency_fn, "__name__", "") == "latency"
-    ):
-        return owner
-    return None
-
-
 def latency_sweep(
-    latency_fn: Callable[[Workload], float],
+    model,
     message_flits: int,
     flit_loads: Sequence[float],
     *,
     label: str = "model",
-    processes: int = 1,
-    chunksize: int = 1,
 ) -> LatencyCurve:
-    """Evaluate a latency curve over a load grid.
+    """Evaluate ``model``'s latency curve over a load grid.
 
-    ``latency_fn`` is either a per-workload callable (a simulator wrapper,
-    or any function of a :class:`Workload` returning cycles, ``inf``
-    allowed) or a batch-capable model — a model object, or its bound
-    ``latency`` method.  Batch-capable models are solved for the whole grid
-    in one vectorized pass (bit-identical to the per-point loop);
-    everything else is evaluated point by point, fanned out over
-    ``processes`` workers in chunks of ``chunksize`` when requested.
+    ``model`` is any object exposing ``latency_batch(rates,
+    message_flits)``; the whole grid is solved in one vectorized pass
+    (bit-identical to a per-point ``latency`` loop).
     """
     loads = np.asarray(list(flit_loads), dtype=float)
     if loads.ndim != 1 or loads.size == 0:
         raise ConfigurationError("flit_loads must be a non-empty 1-D sequence")
     if np.any(loads < 0):
         raise ConfigurationError("flit_loads must be non-negative")
-    model = _batch_evaluator(latency_fn)
-    if model is not None:
-        # One batched solve; flit_load -> injection rate exactly as
-        # Workload.from_flit_load does, so results match the scalar loop.
-        lat = np.asarray(
-            model.latency_batch(loads / message_flits, message_flits), dtype=float
-        )
-    else:
-        worker = partial(
-            _sweep_point, latency_fn=latency_fn, message_flits=message_flits
-        )
-        lat = np.array(
-            parallel_map(
-                worker,
-                [float(x) for x in loads],
-                processes=processes,
-                chunksize=chunksize,
-            ),
-            dtype=float,
-        )
+    # flit_load -> injection rate exactly as Workload.from_flit_load does,
+    # so results match the scalar loop.
+    lat = np.asarray(
+        model.latency_batch(loads / message_flits, message_flits), dtype=float
+    )
     return LatencyCurve(
         label=label, message_flits=message_flits, flit_loads=loads, latencies=lat
     )

@@ -7,31 +7,36 @@ Each candidate costs two model-side quantities:
   backends share);
 * the saturation flit load — the vectorized Eq. 26 bracket
   (:func:`~repro.core.throughput.saturation_injection_rate`, a handful of
-  ``stability_batch`` solves) where available, the closed-form capacity
-  bound where the evaluator provides one, the scalar bisection otherwise.
+  ``stability_batch`` solves), the same search ``repro run`` makes, so
+  the explorer and a run of the same question agree bit for bit.
 
-Results are *memoized* in two layers keyed by the model identity
-``(family, params, message_flits, spec)``: the saturation search and the
-zero-load limit are demand-independent and cached once per model, while
-the demand-point latency is cached per ``(model, demand)``.  Candidates
-differing only in buffer depth (a cost-model knob) share one evaluation,
-repeated :func:`~repro.design.search.explore` calls over overlapping
-spaces only pay for the new points, and re-exploring the same space at a
-*different* demand re-runs only the cheap single-point latency solves —
-never the saturation ladders.  Uncached work fans out across worker
-processes through :func:`~repro.util.parallel.parallel_map`; the parent
-merges the returned metrics back into the caches.
+:func:`metrics_for` answers both the nominal question (``faults=None``)
+and the degraded one (a :class:`~repro.faults.FaultSpec`) through one
+path.  Results are *memoized* in two layers keyed by the model identity
+``(family, params, message_flits, spec)`` and the fault set: the
+saturation search and the zero-load limit are demand-independent and
+cached once per model, while the demand-point latency is cached per
+``(model, demand)``.  A fault set that partitions a candidate, or cannot
+be drawn on it, is memoized as that verdict.  Candidates differing only
+in buffer depth (a cost-model knob) share one evaluation, repeated
+:func:`~repro.design.search.explore` calls over overlapping spaces only
+pay for the new points, and re-exploring the same space at a *different*
+demand re-runs only the cheap single-point latency solves — never the
+saturation ladders.  Uncached work fans out across worker processes
+through :func:`~repro.util.parallel.parallel_map`; the parent merges the
+returned metrics back into the caches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..config import Workload
+from ..core.throughput import saturation_injection_rate
 from ..errors import ConfigurationError, PartitionedNetworkError, SaturatedError
 from ..obs.metrics import METRICS
 from ..util.parallel import parallel_map
@@ -43,7 +48,6 @@ __all__ = [
     "CandidateMetrics",
     "Evaluation",
     "evaluate_candidate",
-    "faulted_metrics_for",
     "metrics_for",
     "clear_metrics_cache",
     "metrics_cache_size",
@@ -84,6 +88,12 @@ class CandidateMetrics:
         }
 
 
+#: What :func:`metrics_for` answers per candidate: its metrics, or — for a
+#: fault set only — None when the faults partition its network and the
+#: :class:`ConfigurationError` message when they cannot be drawn on it.
+Answer = Union[CandidateMetrics, str, None]
+
+
 def _model_key(candidate: Candidate):
     # buffer_depth deliberately excluded: it never enters the latency model.
     return (
@@ -98,27 +108,22 @@ def _metrics_key(candidate: Candidate, demand_flit_load: float):
     return (_model_key(candidate), demand_flit_load)
 
 
-#: Demand-independent memo: model key -> (zero_load_latency, saturation).
-_SATURATION_CACHE: dict[tuple, tuple[float, float]] = {}
-#: Demand-dependent memo: (model key, demand) -> latency at that demand.
+#: Demand-independent memo: (model key, faults) -> (zero_load_latency,
+#: saturation), or the partition / impossible-draw verdict of an
+#: :data:`Answer`.  ``faults=None`` is the nominal question.
+_SATURATION_CACHE: dict[tuple, tuple[float, float] | str | None] = {}
+#: Demand-dependent memo: ((model key, faults), demand) -> latency.
 _LATENCY_CACHE: dict[tuple, float] = {}
-#: Degraded-mode memo: (model key, faults) -> (zero_load, saturation),
-#: or None when the faults partition that candidate's network.
-_FAULT_SATURATION_CACHE: dict[tuple, tuple[float, float] | None] = {}
-#: Degraded-mode latency memo: ((model key, faults), demand) -> latency.
-_FAULT_LATENCY_CACHE: dict[tuple, float] = {}
 
 
 def clear_metrics_cache() -> None:
     """Drop every memoized evaluation (tests and long-lived services)."""
     _SATURATION_CACHE.clear()
     _LATENCY_CACHE.clear()
-    _FAULT_SATURATION_CACHE.clear()
-    _FAULT_LATENCY_CACHE.clear()
 
 
 def metrics_cache_size() -> int:
-    """Number of memoized ``(model, demand)`` latency evaluations."""
+    """Number of memoized ``(model, faults, demand)`` latency evaluations."""
     return len(_LATENCY_CACHE)
 
 
@@ -129,12 +134,7 @@ def point_latency(model, workload: Workload) -> float:
 
 
 def _saturation_flit_load(model, message_flits: int) -> float:
-    """Eq. 26 saturation load; closed form when the evaluator has one."""
-    closed_form = getattr(model, "saturation_flit_load", None)
-    if callable(closed_form):
-        return closed_form(message_flits)
-    from ..core.throughput import saturation_injection_rate
-
+    """Eq. 26 saturation load: the search ``repro run`` makes."""
     try:
         return saturation_injection_rate(model, message_flits).flit_load
     except SaturatedError:
@@ -150,20 +150,32 @@ def _check_demand(demand_flit_load: float) -> None:
 
 
 def compute_metrics(
-    candidate: Candidate, demand_flit_load: float, need_saturation: bool = True
-) -> CandidateMetrics:
+    candidate: Candidate,
+    demand_flit_load: float,
+    need_saturation: bool = True,
+    faults=None,
+) -> Answer:
     """Evaluate one candidate from scratch (no cache interaction).
 
     ``need_saturation=False`` skips the (comparatively expensive) Eq. 26
     search and reports ``nan`` for the demand-independent fields — the
     memo layer uses this when only the latency at a new demand is missing.
+    Under ``faults`` the answer may be a verdict instead (see
+    :data:`Answer`).
     """
     _check_demand(demand_flit_load)
     fam = design_family(candidate.family)
-    model = fam.evaluator(
-        candidate.params_dict, candidate.spec, candidate.message_flits
-    )
     flits = candidate.message_flits
+    try:
+        model = fam.evaluator(
+            candidate.params_dict, candidate.spec, flits, faults=faults
+        )
+    except PartitionedNetworkError:
+        return None
+    except ConfigurationError as exc:
+        if faults is None:
+            raise
+        return str(exc)
     return CandidateMetrics(
         latency=point_latency(
             model, Workload.from_flit_load(demand_flit_load, flits)
@@ -179,128 +191,84 @@ def compute_metrics(
     )
 
 
-def _metrics_worker(task: tuple[Candidate, float, bool]) -> CandidateMetrics:
+def _metrics_worker(task: tuple) -> Answer:
     """Module-level worker so tasks pickle for process fan-out."""
     return compute_metrics(*task)
-
-
-def faulted_metrics_for(
-    candidate: Candidate, demand_flit_load: float, faults
-) -> CandidateMetrics | None:
-    """Degraded-mode metrics of one candidate under a fault specification.
-
-    Evaluates the candidate's fault-masked stage graph
-    (:meth:`~repro.design.families.DesignFamily.evaluator` with ``faults``) at the
-    demand point; returns ``None`` when ``faults`` partition the network.
-    Memoized like the nominal path — per ``(model, faults)`` for the
-    demand-independent half and per demand for the latency — including the
-    partitioned verdict.  This memo is per message length and dropped by
-    :func:`clear_metrics_cache`; the fault-masked flows cache under
-    :meth:`~repro.design.families.DesignFamily.evaluator` keeps the
-    partition verdict per (assignment, spec, faults) across both, so a
-    disconnection is traced once however it is asked again.  ``faults``
-    must be a hashable :class:`~repro.faults.FaultSpec`.
-    """
-    _check_demand(demand_flit_load)
-    mk = (_model_key(candidate), faults)
-    cached = _FAULT_SATURATION_CACHE.get(mk, "miss")
-    if cached is None:
-        METRICS.add("design.fault_cache.hits")
-        return None
-    lat_key = (mk, demand_flit_load)
-    if cached != "miss" and lat_key in _FAULT_LATENCY_CACHE:
-        METRICS.add("design.fault_cache.hits")
-        zero_load, saturation = cached
-        return CandidateMetrics(
-            latency=_FAULT_LATENCY_CACHE[lat_key],
-            zero_load_latency=zero_load,
-            saturation_flit_load=saturation,
-        )
-    METRICS.add("design.fault_cache.misses")
-    fam = design_family(candidate.family)
-    try:
-        model = fam.evaluator(
-            candidate.params_dict,
-            candidate.spec,
-            candidate.message_flits,
-            faults=faults,
-        )
-    except PartitionedNetworkError:
-        _FAULT_SATURATION_CACHE[mk] = None
-        return None
-    flits = candidate.message_flits
-    if mk not in _FAULT_SATURATION_CACHE:
-        _FAULT_SATURATION_CACHE[mk] = (
-            float(flits) + model.average_distance - 1.0,
-            _saturation_flit_load(model, flits),
-        )
-    if lat_key not in _FAULT_LATENCY_CACHE:
-        _FAULT_LATENCY_CACHE[lat_key] = point_latency(
-            model, Workload.from_flit_load(demand_flit_load, flits)
-        )
-    zero_load, saturation = _FAULT_SATURATION_CACHE[mk]
-    return CandidateMetrics(
-        latency=_FAULT_LATENCY_CACHE[lat_key],
-        zero_load_latency=zero_load,
-        saturation_flit_load=saturation,
-    )
 
 
 def metrics_for(
     candidates: Sequence[Candidate],
     demand_flit_load: float,
     *,
+    faults=None,
     processes: int = 1,
     chunksize: int = 1,
-) -> dict[tuple, CandidateMetrics]:
+) -> dict[tuple, Answer]:
     """Metrics for every candidate, memoized, computed in parallel.
 
-    Deduplicates by model key (candidates differing only in buffer depth
-    collapse to one evaluation), fans the uncached work out over
-    ``processes`` workers — skipping the saturation search for models
-    whose demand-independent half is already cached — merges the results
-    into the per-process caches, and returns a ``{key: metrics}`` mapping
-    covering all inputs; read it back through :func:`_metrics_key`.
+    ``faults=None`` asks the nominal question; a hashable
+    :class:`~repro.faults.FaultSpec` asks the degraded one, whose answer
+    is None where the faults partition a candidate and the reason where
+    they cannot be drawn on it.  Deduplicates by model key (candidates
+    differing only in buffer depth collapse to one evaluation), fans the
+    uncached work out over ``processes`` workers — skipping the
+    saturation search for models whose demand-independent half is
+    already cached — merges the results into the per-process caches, and
+    returns a ``{key: answer}`` mapping covering all inputs; read it back
+    through :func:`_metrics_key`.  The nominal pass counts
+    ``design.cache.*`` and ``design.solves``, a degraded one
+    ``design.fault_cache.*``.
     """
     _check_demand(demand_flit_load)
+    counter = "design.cache" if faults is None else "design.fault_cache"
     fresh: dict[tuple, tuple[Candidate, bool]] = {}
     for c in candidates:
-        mk = _model_key(c)
+        mk = (_model_key(c), faults)
         need_saturation = mk not in _SATURATION_CACHE
-        need_latency = (mk, demand_flit_load) not in _LATENCY_CACHE
+        need_latency = (mk, demand_flit_load) not in _LATENCY_CACHE and (
+            need_saturation or isinstance(_SATURATION_CACHE[mk], tuple)
+        )
         if (need_saturation or need_latency) and mk not in fresh:
             fresh[mk] = (c, need_saturation)
-            METRICS.add("design.cache.misses")
+            METRICS.add(f"{counter}.misses")
         else:
             # Either fully memoized or deduplicated onto an already
             # scheduled model key (buffer-depth-only twins).
-            METRICS.add("design.cache.hits")
+            METRICS.add(f"{counter}.hits")
     if fresh:
-        tasks = [(c, demand_flit_load, sat) for c, sat in fresh.values()]
-        METRICS.add("design.solves", float(len(tasks)))
+        tasks = [(c, demand_flit_load, sat, faults) for c, sat in fresh.values()]
+        if faults is None:
+            METRICS.add("design.solves", float(len(tasks)))
         results = parallel_map(
             _metrics_worker, tasks, processes=processes, chunksize=chunksize
         )
-        for (mk, (_, need_saturation)), metrics in zip(fresh.items(), results):
-            _LATENCY_CACHE[(mk, demand_flit_load)] = metrics.latency
+        for (mk, (_, need_saturation)), answer in zip(fresh.items(), results):
+            if not isinstance(answer, CandidateMetrics):
+                _SATURATION_CACHE[mk] = answer
+                continue
+            _LATENCY_CACHE[(mk, demand_flit_load)] = answer.latency
             if need_saturation:
                 _SATURATION_CACHE[mk] = (
-                    metrics.zero_load_latency,
-                    metrics.saturation_flit_load,
+                    answer.zero_load_latency,
+                    answer.saturation_flit_load,
                 )
     if METRICS.enabled:
         METRICS.gauge("design.cache.latency_entries", float(len(_LATENCY_CACHE)))
         METRICS.gauge(
             "design.cache.saturation_entries", float(len(_SATURATION_CACHE))
         )
-    out: dict[tuple, CandidateMetrics] = {}
+    out: dict[tuple, Answer] = {}
     for c in candidates:
-        mk = _model_key(c)
-        zero_load, saturation = _SATURATION_CACHE[mk]
-        out[(mk, demand_flit_load)] = CandidateMetrics(
-            latency=_LATENCY_CACHE[(mk, demand_flit_load)],
-            zero_load_latency=zero_load,
-            saturation_flit_load=saturation,
+        mk = (_model_key(c), faults)
+        cached = _SATURATION_CACHE[mk]
+        out[_metrics_key(c, demand_flit_load)] = (
+            CandidateMetrics(
+                latency=_LATENCY_CACHE[(mk, demand_flit_load)],
+                zero_load_latency=cached[0],
+                saturation_flit_load=cached[1],
+            )
+            if isinstance(cached, tuple)
+            else cached
         )
     return out
 
@@ -322,8 +290,8 @@ class Evaluation:
     violations: tuple[str, ...]
     #: Degraded-mode metrics when the requirements asked for fault
     #: survival (``survives_faults > 0``): None either when no fault check
-    #: ran or when the seeded failures partition this candidate (the
-    #: violations then carry the partition clause).
+    #: ran or when the seeded failures partition this candidate or cannot
+    #: be drawn on it (the violations then carry the reason).
     degraded: CandidateMetrics | None = None
 
     @property
@@ -369,6 +337,8 @@ def evaluate_candidate(
     candidate: Candidate, demand_flit_load: float
 ) -> CandidateMetrics:
     """Memoized metrics of one candidate (single-point convenience API)."""
-    return metrics_for([candidate], demand_flit_load)[
+    metrics = metrics_for([candidate], demand_flit_load)[
         _metrics_key(candidate, demand_flit_load)
     ]
+    assert isinstance(metrics, CandidateMetrics)  # nominal: never a verdict
+    return metrics

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError
 from ..util.tables import format_table
 from .cost import CostModel, LinearCostModel
-from .evaluate import Evaluation, _metrics_key, faulted_metrics_for, metrics_for
+from .evaluate import CandidateMetrics, Evaluation, _metrics_key, metrics_for
 from .families import design_family
 from .pareto import Objective, pareto_frontier
 from .space import DesignSpace, SkippedCandidate
@@ -100,15 +100,19 @@ class Requirements:
     def fault_violations(self, degraded) -> tuple[str, ...]:
         """Requirement clauses the degraded metrics break (empty = survives).
 
-        ``degraded`` is the candidate's degraded-mode
-        :class:`~repro.design.evaluate.CandidateMetrics`, or None when the
-        seeded failures partitioned its network.
+        ``degraded`` is the candidate's degraded-mode answer from
+        :func:`~repro.design.evaluate.metrics_for`: its
+        :class:`~repro.design.evaluate.CandidateMetrics`, None when the
+        seeded failures partitioned its network, or the reason they could
+        not be drawn on it.  Empty whenever no fault survival is asked.
         """
         if self.survives_faults <= 0:
             return ()
         k, s = self.survives_faults, self.fault_seed
         if degraded is None:
             return (f"partitioned under {k} link failure(s) (seed {s})",)
+        if isinstance(degraded, str):
+            return (f"fault injection impossible: {degraded}",)
         out: list[str] = []
         if not (math.isfinite(degraded.latency) and degraded.latency <= self.latency_slo):
             out.append(
@@ -368,9 +372,11 @@ def explore(
 
     Expansion reports (never silently drops) pattern-incompatible
     combinations; evaluation is memoized per candidate and demand point and
-    fans uncached candidates across ``processes`` workers; every candidate
-    is then priced with ``cost_model`` (default :class:`LinearCostModel`)
-    and judged against the requirements.
+    fans uncached candidates across ``processes`` workers, once nominally
+    and, when the requirements ask for fault survival, once more under
+    their seeded :class:`~repro.faults.FaultSpec`; every candidate is then
+    priced with ``cost_model`` (default :class:`LinearCostModel`) and
+    judged against the requirements.
     """
     cost_model = cost_model if cost_model is not None else LinearCostModel()
     expansion = space.expand()
@@ -384,32 +390,35 @@ def explore(
                 else ""
             )
         )
-    metrics = metrics_for(
-        expansion.candidates,
-        requirements.demand_flit_load,
-        processes=processes,
-        chunksize=chunksize,
+    demand = requirements.demand_flit_load
+    nominal = metrics_for(
+        expansion.candidates, demand, processes=processes, chunksize=chunksize
     )
     fault_spec = requirements.fault_spec()
+    faulted = (
+        {}
+        if fault_spec is None
+        else metrics_for(
+            expansion.candidates,
+            demand,
+            faults=fault_spec,
+            processes=processes,
+            chunksize=chunksize,
+        )
+    )
     evaluations = []
     for cand in expansion.candidates:
-        m = metrics[_metrics_key(cand, requirements.demand_flit_load)]
+        key = _metrics_key(cand, demand)
+        m = nominal[key]
+        assert isinstance(m, CandidateMetrics)  # nominal: never a verdict
         hardware = design_family(cand.family).hardware(cand.params_dict)
         cost = cost_model.cost(cand, hardware)
-        headroom = m.headroom(requirements.demand_flit_load)
-        violations = requirements.violations(m.latency, headroom, cost.total)
-        degraded = None
-        if fault_spec is not None:
-            try:
-                degraded = faulted_metrics_for(
-                    cand, requirements.demand_flit_load, fault_spec
-                )
-            except ConfigurationError as exc:
-                # e.g. a candidate too small to lose that many links; it
-                # cannot meet the survivability clause either way.
-                violations = violations + (f"fault injection impossible: {exc}",)
-            else:
-                violations = violations + requirements.fault_violations(degraded)
+        headroom = m.headroom(demand)
+        answer = faulted.get(key)
+        violations = requirements.violations(
+            m.latency, headroom, cost.total
+        ) + requirements.fault_violations(answer)
+        degraded = answer if isinstance(answer, CandidateMetrics) else None
         evaluations.append(
             Evaluation(
                 candidate=cand,

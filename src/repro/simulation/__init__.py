@@ -24,7 +24,6 @@ from .runner import ReplicatedResult, run_replications, simulated_latency_curve
 from .saturation import empirical_saturation
 from .traffic import (
     Arrival,
-    Pattern,
     PoissonTraffic,
     TraceTraffic,
     bimodal_lengths,
@@ -46,7 +45,6 @@ __all__ = [
     "simulated_latency_curve",
     "empirical_saturation",
     "Arrival",
-    "Pattern",
     "PoissonTraffic",
     "TraceTraffic",
     "bimodal_lengths",

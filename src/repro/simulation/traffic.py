@@ -15,16 +15,14 @@ generates messages with exponential inter-arrival times at rate
   process with the configured long-run rate but bursty short-term
   behaviour.
 
-The legacy ``pattern=Pattern.X`` keyword survives as a thin alias that
-builds the matching spec.  A traffic source is consumed through
-:meth:`arrivals`, a time-ordered iterator of ``(time, src, dst)`` triples;
-:class:`TraceTraffic` replays an explicit list, which is how the two
-simulators are driven with identical inputs for cross-validation.
+A traffic source is consumed through :meth:`arrivals`, a time-ordered
+iterator of ``(time, src, dst)`` triples; :class:`TraceTraffic` replays an
+explicit list, which is how the two simulators are driven with identical
+inputs for cross-validation.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -33,42 +31,16 @@ import numpy as np
 
 from ..config import Workload
 from ..errors import ConfigurationError
-from ..traffic.spec import BurstyArrivals, PermutationSpec, TrafficSpec, make_spec
+from ..traffic.spec import BurstyArrivals, TrafficSpec, UniformSpec
 from ..util.rng import spawn_rngs
 
 __all__ = [
-    "Pattern",
     "PoissonTraffic",
     "TraceTraffic",
     "Arrival",
     "bimodal_lengths",
     "poisson_trace",
 ]
-
-
-class Pattern(enum.Enum):
-    """Destination-selection patterns (aliases for the spec registry).
-
-    Values match the registry names of :mod:`repro.traffic.spec`; use
-    ``spec=`` for parametrized or custom patterns.
-    """
-
-    #: Uniformly random destination, excluding the source (the paper's).
-    UNIFORM = "uniform"
-    #: A fixed random derangement: PE ``i`` always sends to ``pi(i)``.
-    PERMUTATION = "permutation"
-    #: With probability ``hotspot_fraction`` send to ``hotspot_target``.
-    HOTSPOT = "hotspot"
-    #: Uniform within the source's 4-leaf quad (shares a level-1 switch).
-    QUAD_LOCAL = "quad-local"
-    #: Swap the two halves of the address bits (matrix transpose).
-    TRANSPOSE = "transpose"
-    #: Reverse the address bits (FFT exchange).
-    BIT_REVERSAL = "bit-reversal"
-    #: Complement every address bit.
-    BIT_COMPLEMENT = "bit-complement"
-    #: Offset by half the machine.
-    TORNADO = "tornado"
 
 
 @dataclass(frozen=True)
@@ -97,17 +69,13 @@ class PoissonTraffic:
         Injection rate and message length (length is carried by the
         simulator; the source only needs the rate).
     seed:
-        Root seed; arrival times, destinations, and the permutation (when
-        used) draw from independent spawned streams.
+        Root seed; arrival times, destinations and message lengths draw
+        from independent spawned streams.
     spec:
-        Destination distribution (a :class:`TrafficSpec`); defaults to the
-        paper's uniform traffic.  Sources the spec marks silent (fixed
-        points of deterministic permutations) inject nothing.
-    pattern:
-        Legacy alias: a :class:`Pattern` member or registry name that is
-        resolved to a built-in spec.  Mutually exclusive with ``spec``.
-    hotspot_fraction / hotspot_target:
-        Parameters of the hotspot pattern alias.
+        Destination distribution (a :class:`TrafficSpec`, e.g. from
+        :func:`~repro.traffic.spec.make_spec`); defaults to the paper's
+        uniform traffic.  Sources the spec marks silent (fixed points of
+        deterministic permutations) inject nothing.
     length_sampler:
         Optional callable ``rng -> int`` drawing a per-message length in
         flits (relaxes the paper's fixed-length assumption 2; supported by
@@ -125,16 +93,11 @@ class PoissonTraffic:
         seed: int = 0,
         *,
         spec: TrafficSpec | None = None,
-        pattern: Pattern | str | None = None,
-        hotspot_fraction: float = 0.1,
-        hotspot_target: int = 0,
         length_sampler=None,
         bursty: BurstyArrivals | None = None,
     ) -> None:
         if num_pes < 2:
             raise ConfigurationError("traffic requires at least 2 PEs")
-        if spec is not None and pattern is not None:
-            raise ConfigurationError("pass either spec or pattern, not both")
         if bursty is not None and not isinstance(bursty, BurstyArrivals):
             raise ConfigurationError(
                 f"bursty must be a BurstyArrivals, got {bursty!r}"
@@ -143,35 +106,13 @@ class PoissonTraffic:
         self.workload = workload
         self.length_sampler = length_sampler
         self.bursty = bursty
-        self._arrival_rng, self._dst_rng, perm_rng, self._len_rng = spawn_rngs(seed, 4)
-        if spec is None:
-            name = pattern.value if isinstance(pattern, Pattern) else pattern
-            if name is None:
-                name = Pattern.UNIFORM.value
-            if name == Pattern.PERMUTATION.value:
-                # Derive the derangement seed from this source's own spawned
-                # stream so different traffic seeds get different mappings.
-                spec = PermutationSpec(seed=int(perm_rng.integers(2**63)))
-            else:
-                spec = make_spec(
-                    name,
-                    hotspot_fraction=hotspot_fraction,
-                    hotspot_target=hotspot_target,
-                )
+        # The third stream is unused; spawning it keeps the length stream's
+        # seed where recorded runs expect it.
+        self._arrival_rng, self._dst_rng, _, self._len_rng = spawn_rngs(seed, 4)
+        spec = spec if spec is not None else UniformSpec()
         spec.validate(num_pes)
         self.spec = spec
-        self.pattern = (
-            pattern
-            if isinstance(pattern, Pattern)
-            else next((p for p in Pattern if p.value == spec.name), None)
-        )
         self._activity = np.asarray(spec.source_activity(num_pes), dtype=float)
-        #: Back-compat: the concrete permutation when the spec is one.
-        self._permutation = (
-            spec.permutation_for(num_pes)
-            if isinstance(spec, PermutationSpec)
-            else None
-        )
 
     # --- destination sampling ---------------------------------------------------
 

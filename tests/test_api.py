@@ -16,7 +16,7 @@ class TestExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     @pytest.mark.parametrize(
         "name",
@@ -85,7 +85,7 @@ class TestPackaging:
             text=True,
             check=True,
         ).stdout.split()
-        assert out[-2:] == ["repro", repro.__version__] == ["repro", "6.0.0"]
+        assert out[-2:] == ["repro", repro.__version__] == ["repro", "7.0.0"]
 
 
 class TestDocstrings:

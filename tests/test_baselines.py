@@ -19,6 +19,7 @@ from repro.baselines import (
     DallyKaryNCubeModel,
     naive_bft_model,
 )
+from repro.core.throughput import saturation_injection_rate
 from repro.design.evaluate import point_latency
 from repro.design.families import design_family
 from repro.topology.properties import kary_ncube_average_distance
@@ -41,12 +42,19 @@ class TestDally:
         finite = [x for x in lats if math.isfinite(x)]
         assert finite == sorted(finite)
 
-    def test_saturation_flit_load_closed_form(self):
-        m = DallyKaryNCubeModel(8, 2)
-        assert m.saturation_flit_load(32) == pytest.approx(2 / 7)
+    @pytest.mark.parametrize("radix", range(2, 9))
+    def test_saturation_flit_load_closed_form(self, radix):
+        """The Eq. 26 search finds the analytic capacity: the busier of
+        the network channel (rate ``lambda_0 (k-1)/2``) and the terminal
+        channel (rate ``lambda_0``) reaches unit utilization at flit load
+        ``1 / max((k-1)/2, 1)``."""
+        m = DallyKaryNCubeModel(radix, 2)
+        capacity = 1.0 / max((radix - 1) / 2.0, 1.0)
+        sat = saturation_injection_rate(m, 32).flit_load
+        assert sat == pytest.approx(capacity, rel=1e-6)
         # just below is stable, just above is not
-        assert m.is_stable(Workload.from_flit_load(0.95 * 2 / 7, 32))
-        assert not m.is_stable(Workload.from_flit_load(1.05 * 2 / 7, 32))
+        assert m.is_stable(Workload.from_flit_load(0.95 * capacity, 32))
+        assert not m.is_stable(Workload.from_flit_load(1.05 * capacity, 32))
 
     def test_latency_inf_past_saturation(self):
         m = DallyKaryNCubeModel(4, 2)

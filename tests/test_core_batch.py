@@ -353,21 +353,12 @@ class TestBatchSolutionType:
 
 
 class TestSweepBatchDispatch:
-    def test_model_object_and_bound_method_match_plain_callable(self):
+    def test_model_sweep_matches_plain_loop(self):
         model = ButterflyFatTreeModel(256)
         loads = [0.01, 0.04, 0.08, 0.5]
         via_model = latency_sweep(model, 32, loads)
-        via_method = latency_sweep(model.latency, 32, loads)
-        via_lambda = latency_sweep(lambda wl: model.latency(wl), 32, loads)
-        assert np.array_equal(via_model.latencies, via_lambda.latencies)
-        assert np.array_equal(via_method.latencies, via_lambda.latencies)
-
-    def test_scalar_fallback_supports_processes_and_chunks(self):
-        model = ButterflyFatTreeModel(64)
-        loads = list(np.linspace(0.01, 0.1, 8))
-        serial = latency_sweep(lambda wl: model.latency(wl), 16, loads)
-        fanned = latency_sweep(model.latency, 16, loads, processes=2, chunksize=3)
-        assert np.array_equal(serial.latencies, fanned.latencies)
+        loop = [model.latency(Workload.from_flit_load(x, 32)) for x in loads]
+        assert np.array_equal(via_model.latencies, np.array(loop))
 
 
 class TestVectorizedSaturation:

@@ -162,31 +162,31 @@ class TestSweep:
     def test_latency_sweep_matches_pointwise(self):
         model = ButterflyFatTreeModel(64)
         loads = [0.01, 0.05, 0.1]
-        curve = latency_sweep(model.latency, 32, loads)
+        curve = latency_sweep(model, 32, loads)
         for x, y in zip(loads, curve.latencies):
             assert y == pytest.approx(model.latency_at_flit_load(x, 32))
 
     def test_curve_finite_mask(self):
         model = ButterflyFatTreeModel(64)
-        curve = latency_sweep(model.latency, 32, [0.01, 0.5])
+        curve = latency_sweep(model, 32, [0.01, 0.5])
         assert curve.finite_mask.tolist() == [True, False]
         assert curve.last_stable_load == pytest.approx(0.01)
 
     def test_curve_rows(self):
         model = ButterflyFatTreeModel(64)
-        curve = latency_sweep(model.latency, 32, [0.01])
+        curve = latency_sweep(model, 32, [0.01])
         rows = curve.as_rows()
         assert len(rows) == 1 and rows[0][0] == pytest.approx(0.01)
 
     def test_sweep_rejects_empty(self):
         model = ButterflyFatTreeModel(64)
         with pytest.raises(ConfigurationError):
-            latency_sweep(model.latency, 32, [])
+            latency_sweep(model, 32, [])
 
     def test_sweep_rejects_negative(self):
         model = ButterflyFatTreeModel(64)
         with pytest.raises(ConfigurationError):
-            latency_sweep(model.latency, 32, [-0.01])
+            latency_sweep(model, 32, [-0.01])
 
     def test_curve_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

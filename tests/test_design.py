@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro import ButterflyFatTreeModel, Workload
+from repro import ButterflyFatTreeModel, Scenario, Workload, run
 from repro.core import saturation_injection_rate
 from repro.design import (
     PORT_COUNT_COST,
@@ -29,7 +29,8 @@ from repro.design import (
     metrics_cache_size,
     pareto_frontier,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PartitionedNetworkError
+from repro.obs import METRICS
 from repro.traffic.spec import HotspotSpec, TransposeSpec, UniformSpec
 
 
@@ -347,22 +348,35 @@ class TestExplore:
             assert a.headroom > b.headroom  # higher demand, less headroom
             assert b.latency > a.latency
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("survives_faults", [0, 1])
+    def test_parallel_matches_serial(self, survives_faults):
         space = DesignSpace(
             families=(bft_space((16, 64)), hypercube_space((4,))),
             message_lengths=(16,),
             patterns=("uniform", "hotspot"),
         )
-        serial = explore(space, small_requirements())
+        # Seed 7 partitions the 16-PE fat-tree and the hypercube but not
+        # the 64-PE fat-tree, so the degraded pass fans out both verdicts.
+        req = small_requirements(survives_faults=survives_faults, fault_seed=7)
+        serial = explore(space, req)
         clear_metrics_cache()
-        parallel = explore(space, small_requirements(), processes=2)
-        assert len(serial.evaluations) == len(parallel.evaluations)
-        for a, b in zip(serial.evaluations, parallel.evaluations):
-            assert a.candidate == b.candidate
-            assert a.latency == pytest.approx(b.latency, rel=1e-12)
-            assert a.saturation_flit_load == pytest.approx(
-                b.saturation_flit_load, rel=1e-9
-            )
+        parallel = explore(space, req, processes=2)
+        assert [e.as_json() for e in parallel.evaluations] == [
+            e.as_json() for e in serial.evaluations
+        ]
+
+    def test_headroom_is_judged_at_the_eq26_saturation(self):
+        """The 2-ary 3-cube saturates at flit load 1 (its terminal channel
+        is the bottleneck), so a demand of 1.5 has no headroom left."""
+        space = DesignSpace(
+            families=(kary_ncube_space((2,), (3,)),), message_lengths=(16,)
+        )
+        (ev,) = explore(
+            space, small_requirements(demand_flit_load=1.5, latency_slo=1e9)
+        ).evaluations
+        assert math.isinf(ev.latency)
+        assert ev.headroom < 1.0
+        assert any(v.startswith("headroom") for v in ev.violations)
 
     def test_cheapest_feasible_and_budget(self):
         space = DesignSpace(
@@ -449,6 +463,86 @@ class TestExplore:
         assert "cheapest feasible" in text
         assert "largest feasible" in text
         assert "Pareto frontier" in text
+
+
+class TestExplorerAgreesWithRun:
+    """Explorer saturations are ``repro run``'s Eq. 26 search, bit for bit."""
+
+    SHAPES = (
+        dict(topology="bft", num_processors=16),
+        dict(topology="generalized-fattree", num_processors=16, children=4, parents=3),
+        dict(topology="hypercube", num_processors=16),
+        dict(topology="kary-ncube", num_processors=8, radix=2),
+        dict(topology="kary-ncube", num_processors=16, radix=4),
+    )
+
+    @pytest.mark.parametrize(
+        "faults", [None, {"random_link_failures": 1, "seed": 7}], ids=["nominal", "seed7"]
+    )
+    @pytest.mark.parametrize(
+        "shape",
+        SHAPES,
+        ids=[f"{s['topology']}-{s['num_processors']}" for s in SHAPES],
+    )
+    def test_saturation_equals_run(self, shape, faults):
+        scenario = Scenario(
+            **shape, message_flits=16, flit_load=0.02, sweep_points=0, faults=faults
+        )
+        grid = {k: (v,) for k, v in scenario.family_params().items()}
+        space = DesignSpace(
+            families=(FamilySpace.build(scenario.topology, **grid),),
+            message_lengths=(16,),
+        )
+        req = small_requirements(
+            survives_faults=0 if faults is None else 1, fault_seed=7
+        )
+        (ev,) = explore(space, req).evaluations
+        try:
+            record = run(scenario)
+        except PartitionedNetworkError:
+            assert faults is not None
+            assert ev.degraded is None
+            assert any(v.startswith("partitioned") for v in ev.violations)
+            return
+        metrics = ev.metrics if faults is None else ev.degraded
+        assert metrics.saturation_flit_load == record.metrics["saturation"]["flit_load"]
+
+
+class TestFaultVerdicts:
+    def test_impossible_draw_is_a_memoized_violation(self):
+        space = DesignSpace(families=(bft_space((16,)),), message_lengths=(16,))
+        req = small_requirements(survives_faults=10_000, fault_seed=1)
+        with METRICS.collect() as cold:
+            (ev,) = explore(space, req).evaluations
+        assert ev.degraded is None
+        assert ev.violations == (
+            "fault injection impossible: cannot fail 10000 links: "
+            "only 16 eligible network links survive",
+        )
+        with METRICS.collect() as warm:
+            (again,) = explore(space, req).evaluations
+        assert again.violations == ev.violations
+        assert cold.data["counters"]["design.fault_cache.misses"] == 1
+        assert warm.data["counters"]["design.fault_cache.hits"] == 1
+        assert "design.fault_cache.misses" not in warm.data["counters"]
+
+    def test_partition_verdict_is_memoized(self):
+        space = DesignSpace(
+            families=(bft_space((16,)),), message_lengths=(16,), buffer_depths=(1, 4)
+        )
+        req = small_requirements(survives_faults=1, fault_seed=7)
+        with METRICS.collect() as cold:
+            first = explore(space, req)
+        with METRICS.collect() as warm:
+            second = explore(space, req)
+        assert [e.as_json() for e in second.evaluations] == [
+            e.as_json() for e in first.evaluations
+        ]
+        assert all(e.degraded is None for e in first.evaluations)
+        # Buffer-depth twins share one degraded evaluation.
+        assert cold.data["counters"]["design.fault_cache.misses"] == 1
+        assert cold.data["counters"]["design.fault_cache.hits"] == 1
+        assert warm.data["counters"]["design.fault_cache.hits"] == 2
 
 
 class TestScalePerformance:

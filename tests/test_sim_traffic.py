@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConfigurationError, Pattern, PoissonTraffic, TraceTraffic, Workload
+from repro import ConfigurationError, PoissonTraffic, TraceTraffic, Workload
 from repro.simulation.traffic import Arrival, poisson_trace
+from repro.traffic import PermutationSpec, make_spec
 
 
 def _collect(traffic, horizon):
@@ -76,7 +77,9 @@ class TestPoissonTraffic:
 
 class TestPatterns:
     def test_permutation_fixed_destination(self):
-        tr = PoissonTraffic(16, Workload(16, 0.05), seed=8, pattern=Pattern.PERMUTATION)
+        tr = PoissonTraffic(
+            16, Workload(16, 0.05), seed=8, spec=PermutationSpec(seed=8)
+        )
         arrivals = _collect(tr, 10_000)
         dst_by_src: dict[int, set] = {}
         for a in arrivals:
@@ -84,8 +87,10 @@ class TestPatterns:
         assert all(len(d) == 1 for d in dst_by_src.values())
 
     def test_permutation_is_derangement(self):
-        tr = PoissonTraffic(16, Workload(16, 0.05), seed=9, pattern=Pattern.PERMUTATION)
-        perm = tr._permutation
+        tr = PoissonTraffic(
+            16, Workload(16, 0.05), seed=9, spec=PermutationSpec(seed=9)
+        )
+        perm = tr.spec.permutation_for(16)
         assert sorted(perm) == list(range(16))
         assert all(perm[i] != i for i in range(16))
 
@@ -94,9 +99,7 @@ class TestPatterns:
             16,
             Workload(16, 0.05),
             seed=10,
-            pattern=Pattern.HOTSPOT,
-            hotspot_fraction=0.5,
-            hotspot_target=3,
+            spec=make_spec("hotspot", hotspot_fraction=0.5, hotspot_target=3),
         )
         arrivals = _collect(tr, 20_000)
         frac = sum(1 for a in arrivals if a.dst == 3) / len(arrivals)
@@ -105,22 +108,28 @@ class TestPatterns:
     def test_hotspot_validation(self):
         with pytest.raises(ConfigurationError):
             PoissonTraffic(
-                16, Workload(16, 0.05), pattern=Pattern.HOTSPOT, hotspot_fraction=1.5
+                16,
+                Workload(16, 0.05),
+                spec=make_spec("hotspot", hotspot_fraction=1.5),
             )
         with pytest.raises(ConfigurationError):
             PoissonTraffic(
-                16, Workload(16, 0.05), pattern=Pattern.HOTSPOT, hotspot_target=99
+                16,
+                Workload(16, 0.05),
+                spec=make_spec("hotspot", hotspot_target=99),
             )
 
     def test_quad_local_stays_in_quad(self):
-        tr = PoissonTraffic(16, Workload(16, 0.05), seed=11, pattern=Pattern.QUAD_LOCAL)
+        tr = PoissonTraffic(
+            16, Workload(16, 0.05), seed=11, spec=make_spec("quad-local")
+        )
         for a in _collect(tr, 10_000):
             assert a.src // 4 == a.dst // 4
             assert a.src != a.dst
 
     def test_quad_local_requires_multiple_of_four(self):
         with pytest.raises(ConfigurationError):
-            PoissonTraffic(6, Workload(16, 0.05), pattern=Pattern.QUAD_LOCAL)
+            PoissonTraffic(6, Workload(16, 0.05), spec=make_spec("quad-local"))
 
     def test_hotspot_fraction_is_exact(self):
         """The fallback excludes the target, so among messages from other
@@ -130,16 +139,16 @@ class TestPatterns:
             16,
             Workload(16, 0.2),
             seed=12,
-            pattern=Pattern.HOTSPOT,
-            hotspot_fraction=0.2,
-            hotspot_target=3,
+            spec=make_spec("hotspot", hotspot_fraction=0.2, hotspot_target=3),
         )
         arrivals = [a for a in _collect(tr, 20_000) if a.src != 3]
         frac = sum(1 for a in arrivals if a.dst == 3) / len(arrivals)
         assert frac == pytest.approx(0.2, abs=0.015)
 
     def test_transpose_fixed_points_are_silent(self):
-        tr = PoissonTraffic(16, Workload(16, 0.05), seed=13, pattern=Pattern.TRANSPOSE)
+        tr = PoissonTraffic(
+            16, Workload(16, 0.05), seed=13, spec=make_spec("transpose")
+        )
         arrivals = _collect(tr, 20_000)
         srcs = {a.src for a in arrivals}
         assert srcs == set(range(16)) - {0b0000, 0b0101, 0b1010, 0b1111}
@@ -149,33 +158,25 @@ class TestPatterns:
 
     def test_bit_complement_pattern(self):
         tr = PoissonTraffic(
-            16, Workload(16, 0.05), seed=14, pattern=Pattern.BIT_COMPLEMENT
+            16, Workload(16, 0.05), seed=14, spec=make_spec("bit-complement")
         )
         assert all(a.dst == a.src ^ 15 for a in _collect(tr, 5000))
 
     def test_tornado_pattern(self):
-        tr = PoissonTraffic(16, Workload(16, 0.05), seed=15, pattern=Pattern.TORNADO)
+        tr = PoissonTraffic(
+            16, Workload(16, 0.05), seed=15, spec=make_spec("tornado")
+        )
         assert all(a.dst == (a.src + 8) % 16 for a in _collect(tr, 5000))
 
-    def test_pattern_accepts_registry_name(self):
-        tr = PoissonTraffic(16, Workload(16, 0.05), seed=16, pattern="bit-reversal")
+    def test_bit_reversal_pattern(self):
+        tr = PoissonTraffic(
+            16, Workload(16, 0.05), seed=16, spec=make_spec("bit-reversal")
+        )
         assert tr.spec.name == "bit-reversal"
-        assert tr.pattern is Pattern.BIT_REVERSAL
-
-    def test_spec_and_pattern_are_exclusive(self):
-        from repro.traffic import UniformSpec
-
-        with pytest.raises(ConfigurationError):
-            PoissonTraffic(
-                16,
-                Workload(16, 0.05),
-                spec=UniformSpec(),
-                pattern=Pattern.UNIFORM,
-            )
+        reverse = [int(f"{i:04b}"[::-1], 2) for i in range(16)]
+        assert all(a.dst == reverse[a.src] for a in _collect(tr, 5000))
 
     def test_shared_spec_instance_drives_sampling(self):
-        from repro.traffic import PermutationSpec
-
         spec = PermutationSpec(seed=5)
         tr = PoissonTraffic(16, Workload(16, 0.05), seed=17, spec=spec)
         perm = spec.permutation_for(16)
